@@ -10,7 +10,7 @@
 PY ?= python
 PYTEST = PYTHONPATH=src $(PY) -m pytest -x -q
 
-.PHONY: test fault-smoke trace-smoke plan-smoke fleet-smoke obs-smoke tau-smoke golden stress verify bench bench-sched bench-par bench-par-wall bench-plan bench-fleet bench-tau bench-check bench-check-dry
+.PHONY: test fault-smoke trace-smoke plan-smoke fleet-smoke obs-smoke tau-smoke golden golden-1t stress perf-smoke verify bench bench-sched bench-par bench-par-wall bench-plan bench-fleet bench-tau bench-check bench-check-dry
 
 test:
 	$(PYTEST)
@@ -36,10 +36,22 @@ tau-smoke:
 golden:
 	$(PYTEST) tests/test_protocol_fuzz.py tests/test_codec_properties.py tests/test_golden_trace.py tests/test_parallel.py
 
+# The golden digests retrain in-process, and training at different BLAS
+# thread counts gives different weights; at one thread they are the
+# bit-identity reference on any host.
+golden-1t:
+	OPENBLAS_NUM_THREADS=1 $(PYTEST) tests/test_golden_trace.py tests/test_golden_tau.py
+
 stress:
 	$(PYTEST) -m par tests/test_thread_safety.py
 
-verify: test fault-smoke golden stress trace-smoke plan-smoke fleet-smoke obs-smoke tau-smoke bench-check-dry
+# The wall-clock benchmark's own smoke test: every workload at the
+# shortest length, with its correctness gate (each timed request's
+# prediction, entropy and served_by vs an interpreter reference).
+perf-smoke:
+	$(PY) perfbench/smoke.py
+
+verify: test fault-smoke golden golden-1t stress trace-smoke plan-smoke fleet-smoke obs-smoke tau-smoke perf-smoke bench-check-dry
 
 bench:
 	PYTHONPATH=src $(PY) benchmarks/bench_kernels.py

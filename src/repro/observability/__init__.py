@@ -8,7 +8,8 @@ latency claim in this repository:
   direct ``time.perf_counter()`` use elsewhere);
 * :mod:`~repro.observability.metrics` — named counters / gauges /
   fixed-bucket histograms with p50/p95/p99 summaries, the registry the
-  legacy counter dataclasses now facade over;
+  legacy counter dataclasses now facade over (reads by name, writes
+  only through the metrics' locked ``add``/``set_max``);
 * :mod:`~repro.observability.tracing` — span-based request tracing with
   a trace id per serving chunk and an allocation-free
   :data:`NULL_RECORDER` default;

@@ -6,9 +6,10 @@ the engine (``ModelCounters``), the miss-path transport
 metric is a named object in a :class:`MetricsRegistry`, so exporters and
 tests read one schema instead of three, and new subsystems get
 observability by naming a metric rather than writing a dataclass.  The
-legacy classes survive as facades over registry metrics (see
-:mod:`repro.profiling.op_counters`), keeping their ``counters.x += 1``
-call sites and ``as_dict`` schemas bit-compatible.
+legacy classes survive as read-by-name facades over registry metrics
+(see :mod:`repro.profiling.op_counters`) with their ``as_dict`` schemas
+unchanged; every write goes through the metric's own locked ``add`` or
+``set_max``, never a read-then-set on ``value``.
 
 Metrics are deliberately primitive — a mutable ``value`` plus an
 ``add``/``set``/``observe`` method — so the hot paths that bump them pay

@@ -6,9 +6,14 @@ counters (:class:`ModelCounters`), miss-path transport counters
 (:class:`SchedulerCounters`).  They are now *facades*: every field is
 backed by a named metric in a
 :class:`~repro.observability.metrics.MetricsRegistry`, so exporters and
-the ``repro trace`` telemetry read one schema, while the existing call
-sites (``counters.frames_sent += 1``) and ``as_dict`` layouts keep
-working bit-for-bit.
+the ``repro trace`` telemetry read one schema.  Reads by name
+(``counters.frames_sent``) and the ``as_dict`` layouts are unchanged;
+there is one write path: ``counters.add("frames_sent")`` goes through
+the metric's locked ``Counter.add`` (exact under worker threads, seen by
+``watch()`` hooks), and the high-water fields use the locked
+``Gauge.set_max`` via ``counters.set_max(...)``.  Field attributes are
+read-only, so a stray ``counters.x += 1`` raises instead of silently
+shadowing the metric.
 
 Because counters now have a registry behind them, *scoping* them is
 possible: :func:`counters_scope` snapshots every live facade plus the
@@ -27,7 +32,7 @@ from typing import Iterator, Optional, Union
 
 from typing import Mapping
 
-from ..observability.metrics import Counter, Histogram, MetricsRegistry, labeled
+from ..observability.metrics import Counter, Gauge, MetricsRegistry, labeled
 
 #: Live counter facades, tracked weakly so :func:`counters_scope` can
 #: snapshot instances held by long-lived fixtures (session-scoped
@@ -149,16 +154,27 @@ class ModelCounters:
 
 
 class _RegistryFacade:
-    """Base for counter facades: named fields backed by registry counters.
+    """Base for counter facades: named fields backed by registry metrics.
 
-    Subclasses declare ``_FIELDS`` (name → zero value); instances route
-    attribute reads/writes for those names to registry counters, so the
-    historical ``counters.x += 1`` mutation style is preserved while the
-    registry remains the single source of truth.
+    Subclasses declare ``_FIELDS`` (name → zero value); each field is a
+    registry counter — or, for the names in ``_HIGH_WATER``, a registry
+    gauge — and reads by name (``counters.frames_sent``) return its
+    value.  Fields are read-only: writes go through :meth:`add` (the
+    counter's locked ``Counter.add``, so concurrent bumps stay exact and
+    ``watch()`` hooks see every increment) or :meth:`set_max` (the
+    gauge's locked ``Gauge.set_max``).
     """
 
     _FIELDS: dict[str, Union[int, float]] = {}
+    _HIGH_WATER: frozenset = frozenset()
     _PREFIX = "counters"
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        for name in cls._FIELDS:
+            setattr(
+                cls, name, property(lambda self, _n=name: self._metrics[_n].value)
+            )
 
     def __init__(
         self,
@@ -166,18 +182,27 @@ class _RegistryFacade:
         labels: Optional[Mapping[str, object]] = None,
         **values: Union[int, float],
     ) -> None:
-        d = self.__dict__
-        d["registry"] = registry if registry is not None else MetricsRegistry()
-        d["_labels"] = dict(labels) if labels else {}
-        d["_metrics"] = {
-            name: d["registry"].counter(self.metric_name(name))
-            for name in self._FIELDS
-        }
+        self.registry = registry if registry is not None else MetricsRegistry()
+        self._labels = dict(labels) if labels else {}
+        self._metrics: dict[str, Union[Counter, Gauge]] = {}
+        for name, zero in self._FIELDS.items():
+            full = self.metric_name(name)
+            if name in self._HIGH_WATER:
+                fresh = self.registry.get(full) is None
+                metric = self.registry.gauge(full)
+                if fresh:
+                    metric.value = zero  # keep the field's int zero
+            else:
+                metric = self.registry.counter(full)
+            self._metrics[name] = metric
         _LIVE_FACADES.add(self)
         for name, value in values.items():
             if name not in self._FIELDS:
                 raise TypeError(f"{type(self).__name__} has no field {name!r}")
-            setattr(self, name, value)
+            if name in self._HIGH_WATER:
+                self.set_max(name, value)
+            else:
+                self.add(name, value)
 
     def metric_name(self, suffix: str) -> str:
         """Full registry name of one field: prefix, suffix, and labels.
@@ -187,26 +212,19 @@ class _RegistryFacade:
         series like ``sched.accepted_samples{shard=2}`` so N instances can
         share one registry without folding into a single series.
         """
-        return labeled(f"{self._PREFIX}.{suffix}", **self.__dict__["_labels"])
+        return labeled(f"{self._PREFIX}.{suffix}", **self._labels)
 
     @property
     def labels(self) -> dict[str, object]:
-        return dict(self.__dict__["_labels"])
+        return dict(self._labels)
 
-    def __getattr__(self, name: str):
-        metrics = self.__dict__.get("_metrics")
-        if metrics is not None and name in metrics:
-            return metrics[name].value
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
+    def add(self, name: str, amount: Union[int, float] = 1) -> None:
+        """Bump one counter field (locked; watchers see the increment)."""
+        self._metrics[name].add(amount)
 
-    def __setattr__(self, name: str, value) -> None:
-        metrics = self.__dict__.get("_metrics")
-        if metrics is not None and name in metrics:
-            metrics[name].value = value
-        else:
-            self.__dict__[name] = value
+    def set_max(self, name: str, value: Union[int, float]) -> None:
+        """Raise one high-water field to ``value`` if it is higher."""
+        self._metrics[name].set_max(value)
 
     def reset(self) -> None:
         for name, zero in self._FIELDS.items():
@@ -226,8 +244,9 @@ class FaultCounters(_RegistryFacade):
     The session layer bumps these as collaborative frames travel the
     (possibly faulty) link: every attempt is a ``frames_sent``; failures
     split by cause; ``retries`` counts re-sends after a failure; and
-    ``fallbacks`` counts samples/chunks that exhausted the retry policy
-    and were answered by the local binary branch instead.
+    ``fallbacks`` counts missed samples answered by the local binary
+    branch instead, because the retry policy ran out or the edge's
+    reply was rejected.
     """
 
     _PREFIX = "fault"
@@ -283,6 +302,7 @@ class SchedulerCounters(_RegistryFacade):
         "max_queue_depth": 0,
         "max_workers_busy": 0,
     }
+    _HIGH_WATER = frozenset({"max_queue_depth", "max_workers_busy"})
 
     def __init__(
         self,
@@ -291,19 +311,18 @@ class SchedulerCounters(_RegistryFacade):
         **values,
     ) -> None:
         super().__init__(registry=registry, labels=labels, **values)
-        d = self.__dict__
-        d["batch_size_hist"] = {}
-        d["per_tenant"] = {}
-        d["_batch_size_h"] = d["registry"].histogram(
+        self.batch_size_hist: dict[int, int] = {}
+        self.per_tenant: dict[int, dict[str, int]] = {}
+        self._batch_size_h = self.registry.histogram(
             self.metric_name("batch_size"), bounds=_BATCH_SIZE_BUCKETS
         )
-        d["_queue_wait_h"] = d["registry"].histogram(
+        self._queue_wait_h = self.registry.histogram(
             self.metric_name("batch_queue_wait_ms")
         )
         # Per-request waits feed the windowed p99 SLO; bounded mode caps
         # retained samples so long-running fleets don't grow without
         # bound (bucket counts and the sum stay exact regardless).
-        d["_request_wait_h"] = d["registry"].histogram(
+        self._request_wait_h = self.registry.histogram(
             self.metric_name("request_queue_wait_ms"), max_samples=4096
         )
 
@@ -314,10 +333,10 @@ class SchedulerCounters(_RegistryFacade):
         )
 
     def record_batch(self, batch_size: int, exec_ms: float, waits_ms: float) -> None:
-        self.batches += 1
-        self.samples_served += batch_size
-        self.busy_ms += exec_ms
-        self.queue_wait_ms += waits_ms
+        self.add("batches")
+        self.add("samples_served", batch_size)
+        self.add("busy_ms", exec_ms)
+        self.add("queue_wait_ms", waits_ms)
         self.batch_size_hist[batch_size] = self.batch_size_hist.get(batch_size, 0) + 1
         self._batch_size_h.observe(batch_size)
         self._queue_wait_h.observe(waits_ms / batch_size if batch_size else 0.0)
@@ -358,8 +377,8 @@ class SchedulerCounters(_RegistryFacade):
 
     def reset(self) -> None:
         super().reset()
-        self.__dict__["batch_size_hist"] = {}
-        self.__dict__["per_tenant"] = {}
+        self.batch_size_hist = {}
+        self.per_tenant = {}
         self._batch_size_h.reset()
         self._queue_wait_h.reset()
         self._request_wait_h.reset()
@@ -420,7 +439,7 @@ def counters_scope() -> Iterator[None]:
         for f, snap in reg_snaps:
             f.registry.restore(snap)
         for f, tenants, hist in dict_snaps:
-            f.__dict__["per_tenant"] = tenants
-            f.__dict__["batch_size_hist"] = hist
+            f.per_tenant = tenants
+            f.batch_size_hist = hist
         global_registry().restore(global_snap)
         bitpack._REGISTRY.restore(bitpack_snap)

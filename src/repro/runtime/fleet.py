@@ -10,9 +10,10 @@ story: N scheduler shards, each with its own
 
 The router speaks the scheduler's exact wire surface — ``submit`` /
 ``flush`` / ``collect`` / ``register`` — so every existing client path
-(:meth:`~repro.runtime.session.LCRSDeployment._submit_with_retry`,
-:func:`~repro.runtime.scheduler.run_concurrent_sessions`) runs against a
-fleet unchanged.  Three concerns live here:
+(the scheduler transport of the miss-path retry loop,
+:meth:`~repro.runtime.session.LCRSDeployment._send_with_retry`, driven
+by :func:`~repro.runtime.scheduler.run_concurrent_sessions`) runs
+against a fleet unchanged.  Three concerns live here:
 
 * **Placement** — sticky session→shard assignment, selectable via
   :class:`FleetConfig`: ``"hash"`` consistent-hashes session ids onto a

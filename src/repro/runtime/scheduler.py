@@ -69,6 +69,7 @@ from .session import (
     SessionConfig,
     SessionResult,
     SessionTrace,
+    _decode_reply,
 )
 from .worker_pool import WorkerPool
 
@@ -300,14 +301,14 @@ class EdgeScheduler:
         fallback) takes over.
         """
         counters = self.counters
-        counters.submitted_requests += 1
+        counters.add("submitted_requests")
         try:
             message = decode_frame(frame)
         except ProtocolError as exc:
-            counters.malformed_requests += 1
+            counters.add("malformed_requests")
             return encode_frame(ErrorResponse(code=400, message=str(exc)))
         if not isinstance(message, BatchInferenceRequest):
-            counters.malformed_requests += 1
+            counters.add("malformed_requests")
             return encode_frame(
                 ErrorResponse(
                     code=405,
@@ -320,7 +321,7 @@ class EdgeScheduler:
         tenant = int(message.session_id)
         self.register(tenant)
         n = len(message.sequences)
-        counters.submitted_samples += n
+        counters.add("submitted_samples", n)
         row = counters.tenant(tenant)
         row["submitted"] += n
 
@@ -336,8 +337,8 @@ class EdgeScheduler:
                 )
             )
         if self.queued_samples() + n > self.config.queue_capacity:
-            counters.shed_requests += 1
-            counters.shed_samples += n
+            counters.add("shed_requests")
+            counters.add("shed_samples", n)
             row["shed"] += n
             return encode_frame(
                 ErrorResponse(
@@ -352,8 +353,8 @@ class EdgeScheduler:
         # Fairness sheds a tenant's *additional* requests; a tenant with
         # nothing queued is never starved by the share arithmetic.
         if held > 0 and held + n > self.tenant_fair_share:
-            counters.shed_requests += 1
-            counters.shed_samples += n
+            counters.add("shed_requests")
+            counters.add("shed_samples", n)
             row["shed"] += n
             return encode_frame(
                 ErrorResponse(
@@ -374,11 +375,11 @@ class EdgeScheduler:
             )
         )
         self._dedupe[key] = ticket
-        counters.accepted_requests += 1
-        counters.accepted_samples += n
+        counters.add("accepted_requests")
+        counters.add("accepted_samples", n)
         row["accepted"] += n
         depth = self.queued_samples()
-        counters.max_queue_depth = max(counters.max_queue_depth, depth)
+        counters.set_max("max_queue_depth", depth)
         self.queue_depth_gauge.set_max(depth)
         return encode_frame(
             SchedulerAck(session_id=tenant, ticket=ticket, queued_samples=depth)
@@ -486,9 +487,7 @@ class EdgeScheduler:
                 self._queue.remove(q)
 
         outputs = self.worker_pool.map(self._execute_batch, batches)
-        self.counters.max_workers_busy = max(
-            self.counters.max_workers_busy, self.worker_pool.max_busy
-        )
+        self.counters.set_max("max_workers_busy", self.worker_pool.max_busy)
 
         for batch, (logits, infer_wall_ms) in zip(batches, outputs):
             # Same softmax/argmax math as EdgeProtocolServer's per-request
@@ -639,9 +638,10 @@ def run_concurrent_sessions(
     rec = scheduler.recorder
     cfg = config if config is not None else SessionConfig()
     # Session-level registry series (satellite of the SLO layer): who
-    # served each sample and the running fallback fraction.  Bumped via
-    # Counter.add so windowed watchers see every increment (a facade
-    # `+=` would bypass them).  ``scheduler`` may be a FleetRouter,
+    # served each sample and the running fallback fraction.  They live
+    # on the scheduler's (or fleet's) registry, which the SLO monitor
+    # reads; each deployment's `fault.*` counters live on its own
+    # private registry.  ``scheduler`` may be a FleetRouter,
     # which exposes ``registry`` directly and no shard identity (these
     # series aggregate the whole fleet; sessions move across shards).
     registry = getattr(scheduler, "registry", None)
@@ -699,23 +699,28 @@ def run_concurrent_sessions(
                 arrival = s.clock_ms + _browser_chunk_ms(
                     s.ctx, deployment.browser_device, pending.count
                 )
-                ticket, attempts, retry_ms = deployment._submit_with_retry(
-                    scheduler,
-                    pending.request,
-                    arrival,
-                    link=s.ctx.link,
-                    policy=s.ctx.policy,
-                    recorder=rec,
-                    trace_id=pending.trace_id,
-                    track=s.ctx.track,
-                    span_sink=pending.spans,
+                session_id = deployment._session_id
+                ticket = deployment._send_with_retry(
+                    pending,
+                    s.ctx,
+                    "scheduler",
+                    # Retries arrive later on the simulated clock: the
+                    # time already burned failing shifts their arrival.
+                    deliver=lambda frame, wasted_ms: scheduler.submit(
+                        frame, arrival + wasted_ms
+                    ),
+                    # The class ids come at collect; admission is a ticket.
+                    accept=lambda reply: (
+                        reply.ticket
+                        if isinstance(reply, SchedulerAck)
+                        and reply.session_id == session_id
+                        else None
+                    ),
                 )
-                pending.attempts = attempts
-                pending.retry_ms = retry_ms
                 if ticket is None:
                     # Admission refused to exhaustion (or the link ate
                     # every attempt): the chunk degrades to the branch.
-                    deployment._apply_reply(pending, None, attempts, retry_ms)
+                    deployment._apply_reply(pending, None)
             in_flight.append((s, pending, ticket))
 
         scheduler.flush()
@@ -724,35 +729,13 @@ def run_concurrent_sessions(
             deployment = s.deployment
             if ticket is not None:
                 raw, wait_ms = scheduler.collect(ticket)
-                if rec.enabled:
-                    with rec.span(
-                        "codec.decode", track=s.ctx.track, trace_id=pending.trace_id
-                    ):
-                        try:
-                            reply = decode_frame(raw)
-                        except ProtocolError:
-                            reply = None
-                else:
-                    try:
-                        reply = decode_frame(raw)
-                    except ProtocolError:
-                        reply = None
-                if reply is not None and deployment._reply_valid(
-                    reply, pending.request, BatchInferenceResponse
-                ):
+                reply = _decode_reply(raw, rec, pending.trace_id, s.ctx.track)
+                if deployment._reply_valid(reply, pending.request):
                     pending.queue_ms = wait_ms
-                    deployment._apply_reply(
-                        reply=reply,
-                        pending=pending,
-                        attempts=pending.attempts,
-                        retry_ms=pending.retry_ms,
-                    )
                 else:
-                    deployment.fault_counters.replies_rejected += 1
-                    deployment._apply_reply(
-                        pending, None, pending.attempts, pending.retry_ms
-                    )
-                    deployment.fault_counters.fallbacks += 1
+                    deployment.fault_counters.add("replies_rejected")
+                    reply = None
+                deployment._apply_reply(pending, reply)
             deployment._finish_chunk(
                 pending, s.ctx, s.outcomes, s.costs, sim_now=s.clock_ms
             )

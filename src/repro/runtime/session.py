@@ -29,7 +29,7 @@ import itertools
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Union
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -68,10 +68,7 @@ from .protocol import (
     BatchInferenceResponse,
     EdgeProtocolServer,
     ErrorResponse,
-    InferenceRequest,
-    InferenceResponse,
     ProtocolError,
-    SchedulerAck,
     decode_frame,
     encode_frame,
 )
@@ -251,6 +248,16 @@ class _PendingChunk:
     trace_id: str = ""
     root: Optional[object] = None
     spans: dict = field(default_factory=dict)
+
+
+def _decode_reply(raw: bytes, recorder, trace_id: str, track: str):
+    """Decode one reply frame (``None`` if malformed) under a
+    ``codec.decode`` span — a no-op span when ``recorder`` is disabled."""
+    with recorder.span("codec.decode", track=track, trace_id=trace_id):
+        try:
+            return decode_frame(raw)
+        except ProtocolError:
+            return None
 
 
 @dataclass(frozen=True)
@@ -798,86 +805,79 @@ class LCRSDeployment:
     # ------------------------------------------------------------------
     # Fault-tolerant miss-path transport
     # ------------------------------------------------------------------
-    def _reply_valid(
-        self,
-        reply,
-        request: Union[InferenceRequest, BatchInferenceRequest],
-        expected_type: type,
-    ) -> bool:
+    def _reply_valid(self, reply, request: BatchInferenceRequest) -> bool:
         """Reject replies that do not answer *this* request.
 
         The server is not trusted to preserve order or even echo the
         right correlation ids — a reply must carry the request's session
-        id and exactly its sequence (set), else it is treated as a
-        failed attempt.
+        id and exactly its sequence set, else it is treated as a failed
+        attempt.
         """
-        if not isinstance(reply, expected_type):
-            return False
-        if reply.session_id != request.session_id:
-            return False
-        if isinstance(request, InferenceRequest):
-            return reply.sequence == request.sequence
         return (
-            len(reply.sequences) == len(request.sequences)
+            isinstance(reply, BatchInferenceResponse)
+            and reply.session_id == request.session_id
+            and len(reply.sequences) == len(request.sequences)
             and set(reply.sequences) == set(request.sequences)
             and len(reply.class_ids) == len(reply.sequences)
         )
 
-    def _exchange_with_retry(
+    def _send_with_retry(
         self,
-        request: Union[InferenceRequest, BatchInferenceRequest],
-        expected_type: type,
-        link: Optional[NetworkLink] = None,
-        policy: Optional[RetryPolicy] = None,
-        handler=None,
-        recorder=None,
-        trace_id: str = "",
-        track: str = "main",
-        span_sink: Optional[dict] = None,
+        pending: _PendingChunk,
+        ctx: _SessionContext,
+        transport: str,
+        deliver: Callable[[bytes, float], bytes],
+        accept: Callable[[object], object],
     ):
-        """Send one miss-path request through the retry policy.
+        """Send a chunk's miss frame through the session's retry policy.
 
-        Returns ``(reply, attempts, retry_ms)``.  ``reply is None`` means
-        the policy was exhausted and the caller must fall back to the
-        binary branch.  ``retry_ms`` prices the failed attempts for the
-        latency model: drops and timeouts cost a full per-attempt
-        timeout window, rejected/corrupted exchanges cost the wasted
-        round trip, and every retry adds its backoff sleep.
+        The transport (``"direct"`` or ``"scheduler"``) is two
+        operations: ``deliver(frame, wasted_ms)`` is the handler
+        ``link.exchange`` hands the (possibly mangled) frame to, with
+        ``wasted_ms`` the time failed attempts already burned;
+        ``accept(reply)`` maps a decoded reply to the answer, or
+        ``None`` if it does not answer this request.
 
-        ``link``/``policy``/``handler`` default to the deployment's own;
-        sessions with per-session fault injection or retry overrides pass
-        theirs.  The handler is resolved at call time so tests (and
-        alternative servers) can swap ``self._edge_server.handle``.
+        Returns the first accepted answer, or ``None`` when the policy
+        ran out and the chunk must fall back to the binary branch
+        (:meth:`_apply_reply` counts the fallback).
+        Sets ``pending.attempts`` and ``pending.retry_ms``; the latter
+        prices the failed attempts for the latency model: drops and
+        timeouts cost a full per-attempt timeout window, rejected or
+        corrupted exchanges cost the wasted round trip, and every retry
+        adds its backoff sleep.  A 503 (scheduler queue full / tenant
+        over fair share) counts as both an ``edge_error`` and an
+        ``overload``; the private server never sheds.
 
         With an enabled recorder, the whole exchange records as one
-        ``link.exchange`` span with a ``link.attempt`` child per
-        transport attempt (outcome, injected faults, and priced failure
-        cost attached), so retries are individually visible in the
-        timeline.  ``span_sink`` receives the exchange span for post-hoc
-        simulated-clock pricing.
+        ``link.exchange`` span (kept in ``pending.spans`` for simulated
+        clock pricing) with a ``link.attempt`` child per transport
+        attempt (outcome, injected faults, and priced failure cost
+        attached), so retries are individually visible in the timeline.
         """
-        link = link if link is not None else self.link
-        policy = policy if policy is not None else self.retry_policy
-        handler = handler if handler is not None else self._edge_server.handle
-        rec = recorder if recorder is not None else self.recorder
-        counters = self.fault_counters
-        frame = encode_frame(request)
-        ex_span = None
+        link, policy, rec, track = ctx.link, ctx.policy, ctx.recorder, ctx.track
+        trace_id = pending.trace_id
+        add = self.fault_counters.add
+        ticketed = transport == "scheduler"
+        # Scheduler acks carry no features: only direct replies are
+        # decoded under a `codec.decode` span.
+        decode_rec = NULL_RECORDER if ticketed else rec
+        frame = encode_frame(pending.request)
         if rec.enabled:
             ex_span = rec.start_span(
                 "link.exchange",
                 track=track,
                 trace_id=trace_id,
-                transport="direct",
+                transport=transport,
                 frame_bytes=len(frame),
             )
-            if span_sink is not None:
-                span_sink["link.exchange"] = ex_span
+            pending.spans["link.exchange"] = ex_span
         retry_ms = 0.0
         attempts = 0
+        answer = None
         while attempts < policy.max_attempts and retry_ms < policy.deadline_ms:
             attempts += 1
-            counters.frames_sent += 1
+            add("frames_sent")
             att_span = (
                 rec.start_span(
                     "link.attempt", track=track, trace_id=trace_id, attempt=attempts
@@ -887,49 +887,36 @@ class LCRSDeployment:
             )
             failure_ms: float
             try:
-                raw = link.exchange(frame, handler)
+                raw = link.exchange(frame, lambda f: deliver(f, retry_ms))
             except FrameDropped:
-                counters.frames_dropped += 1
+                add("frames_dropped")
                 failure_ms = policy.per_attempt_timeout_ms
                 outcome = "dropped"
             except FrameTimeout:
-                counters.frames_timed_out += 1
+                add("frames_timed_out")
                 failure_ms = policy.per_attempt_timeout_ms
                 outcome = "timed-out"
             else:
                 faults = getattr(link, "last_faults", ())
                 if "corrupt" in faults:
-                    counters.frames_corrupted += 1
+                    add("frames_corrupted")
                 if "duplicate" in faults:
-                    counters.frames_duplicated += 1
+                    add("frames_duplicated")
                 if att_span is not None and faults:
                     att_span.set(faults=list(faults))
-                if rec.enabled:
-                    with rec.span("codec.decode", track=track, trace_id=trace_id):
-                        try:
-                            reply = decode_frame(raw)
-                        except ProtocolError:
-                            reply = None
-                else:
-                    try:
-                        reply = decode_frame(raw)
-                    except ProtocolError:
-                        reply = None
-                if reply is not None and self._reply_valid(
-                    reply, request, expected_type
-                ):
-                    if att_span is not None:
-                        att_span.set(outcome="ok")
-                        rec.end_span(att_span)
-                    if ex_span is not None:
-                        ex_span.set(outcome="ok", attempts=attempts, retry_ms=retry_ms)
-                        rec.end_span(ex_span)
-                    return reply, attempts, retry_ms
+                reply = _decode_reply(raw, decode_rec, trace_id, track)
+                answer = accept(reply)
+                if answer is not None:
+                    break
                 if isinstance(reply, ErrorResponse):
-                    counters.edge_errors += 1
-                    outcome = "edge-error"
+                    add("edge_errors")
+                    if reply.code == 503:
+                        add("overloads")
+                        outcome = "shed"
+                    else:
+                        outcome = "edge-error"
                 else:
-                    counters.replies_rejected += 1
+                    add("replies_rejected")
                     outcome = "rejected"
                 # A rejection came back quickly: price the wasted round
                 # trip, not a full timeout window.
@@ -941,138 +928,20 @@ class LCRSDeployment:
                 att_span.set(outcome=outcome, failure_ms=failure_ms)
                 rec.end_span(att_span)
             if attempts < policy.max_attempts and retry_ms < policy.deadline_ms:
-                counters.retries += 1
+                add("retries")
                 retry_ms += policy.backoff_ms(attempts, self._retry_rng)
-        counters.fallbacks += 1
-        if ex_span is not None:
-            ex_span.set(outcome="fallback", attempts=attempts, retry_ms=retry_ms)
-            rec.end_span(ex_span)
-        return None, attempts, retry_ms
-
-    def _submit_with_retry(
-        self,
-        scheduler,
-        request: BatchInferenceRequest,
-        arrival_ms: float,
-        link: Optional[NetworkLink] = None,
-        policy: Optional[RetryPolicy] = None,
-        recorder=None,
-        trace_id: str = "",
-        track: str = "main",
-        span_sink: Optional[dict] = None,
-    ):
-        """Submit one miss-path request to a shared edge scheduler.
-
-        The deferred-answer twin of :meth:`_exchange_with_retry`: success
-        is a :class:`SchedulerAck` (the class ids arrive later, after the
-        batching window closes), so the return value is ``(ticket,
-        attempts, retry_ms)`` with ``ticket is None`` meaning admission
-        was refused until the retry policy ran out and the chunk must
-        fall back to the binary branch.  A 503 (queue full / tenant over
-        fair share) counts as both an ``edge_error`` and an ``overload``;
-        retrying a shed request is exactly the client behaviour the
-        scheduler's admission control is designed against, and duplicate
-        deliveries are absorbed by the scheduler's idempotent ticketing.
-        """
-        link = link if link is not None else self.link
-        policy = policy if policy is not None else self.retry_policy
-        rec = recorder if recorder is not None else self.recorder
-        counters = self.fault_counters
-        frame = encode_frame(request)
-        ex_span = None
+        pending.attempts = attempts
+        pending.retry_ms = retry_ms
         if rec.enabled:
-            ex_span = rec.start_span(
-                "link.exchange",
-                track=track,
-                trace_id=trace_id,
-                transport="scheduler",
-                frame_bytes=len(frame),
-            )
-            if span_sink is not None:
-                span_sink["link.exchange"] = ex_span
-        retry_ms = 0.0
-        attempts = 0
-        while attempts < policy.max_attempts and retry_ms < policy.deadline_ms:
-            attempts += 1
-            counters.frames_sent += 1
-            att_span = (
-                rec.start_span(
-                    "link.attempt", track=track, trace_id=trace_id, attempt=attempts
-                )
-                if rec.enabled
-                else None
-            )
-            failure_ms: float
-            try:
-                # Retries arrive later on the simulated clock: the time
-                # already burned failing shifts this attempt's arrival.
-                raw = link.exchange(
-                    frame,
-                    lambda f, _wasted=retry_ms: scheduler.submit(
-                        f, arrival_ms + _wasted
-                    ),
-                )
-            except FrameDropped:
-                counters.frames_dropped += 1
-                failure_ms = policy.per_attempt_timeout_ms
-                outcome = "dropped"
-            except FrameTimeout:
-                counters.frames_timed_out += 1
-                failure_ms = policy.per_attempt_timeout_ms
-                outcome = "timed-out"
-            else:
-                faults = getattr(link, "last_faults", ())
-                if "corrupt" in faults:
-                    counters.frames_corrupted += 1
-                if "duplicate" in faults:
-                    counters.frames_duplicated += 1
-                if att_span is not None and faults:
-                    att_span.set(faults=list(faults))
-                try:
-                    reply = decode_frame(raw)
-                except ProtocolError:
-                    reply = None
-                if (
-                    isinstance(reply, SchedulerAck)
-                    and reply.session_id == request.session_id
-                ):
-                    if att_span is not None:
-                        att_span.set(outcome="ok", ticket=reply.ticket)
-                        rec.end_span(att_span)
-                    if ex_span is not None:
-                        ex_span.set(
-                            outcome="ok",
-                            attempts=attempts,
-                            retry_ms=retry_ms,
-                            ticket=reply.ticket,
-                        )
-                        rec.end_span(ex_span)
-                    return reply.ticket, attempts, retry_ms
-                if isinstance(reply, ErrorResponse):
-                    counters.edge_errors += 1
-                    if reply.code == 503:
-                        counters.overloads += 1
-                        outcome = "shed"
-                    else:
-                        outcome = "edge-error"
-                else:
-                    counters.replies_rejected += 1
-                    outcome = "rejected"
-                failure_ms = link.upload_ms(len(frame)) + link.download_ms(
-                    RESULT_BYTES
-                )
-            retry_ms += failure_ms
-            if att_span is not None:
-                att_span.set(outcome=outcome, failure_ms=failure_ms)
+            if answer is not None:
+                ok = {"ticket": answer} if ticketed else {}
+                att_span.set(outcome="ok", **ok)
                 rec.end_span(att_span)
-            if attempts < policy.max_attempts and retry_ms < policy.deadline_ms:
-                counters.retries += 1
-                retry_ms += policy.backoff_ms(attempts, self._retry_rng)
-        counters.fallbacks += 1
-        if ex_span is not None:
-            ex_span.set(outcome="fallback", attempts=attempts, retry_ms=retry_ms)
+                ex_span.set(outcome="ok", attempts=attempts, retry_ms=retry_ms, **ok)
+            else:
+                ex_span.set(outcome="fallback", attempts=attempts, retry_ms=retry_ms)
             rec.end_span(ex_span)
-        return None, attempts, retry_ms
+        return answer
 
     # ------------------------------------------------------------------
     # Real execution with priced timing
@@ -1178,28 +1047,21 @@ class LCRSDeployment:
         miss_idx = np.flatnonzero(~exits)
         request = None
         if miss_idx.size:
+            with rec.span("codec.encode", track=ctx.track, trace_id=trace_id) as enc:
+                request = BatchInferenceRequest.from_features(
+                    self._session_id,
+                    [start + int(j) for j in miss_idx],
+                    ctx.codec.name,
+                    features[miss_idx],
+                    trace_id=trace_id,
+                )
             if rec.enabled:
-                with rec.span("codec.encode", track=ctx.track, trace_id=trace_id) as enc:
-                    request = BatchInferenceRequest.from_features(
-                        self._session_id,
-                        [start + int(j) for j in miss_idx],
-                        ctx.codec.name,
-                        features[miss_idx],
-                        trace_id=trace_id,
-                    )
                 enc.set(
                     codec=ctx.codec.name,
                     misses=int(miss_idx.size),
                     payload_bytes=len(request.payload),
                 )
                 spans["codec.encode"] = enc
-            else:
-                request = BatchInferenceRequest.from_features(
-                    self._session_id,
-                    [start + int(j) for j in miss_idx],
-                    ctx.codec.name,
-                    features[miss_idx],
-                )
         return _PendingChunk(
             start=start,
             count=len(chunk),
@@ -1215,22 +1077,17 @@ class LCRSDeployment:
         )
 
     def _apply_reply(
-        self,
-        pending: _PendingChunk,
-        reply: Optional[BatchInferenceResponse],
-        attempts: int,
-        retry_ms: float,
+        self, pending: _PendingChunk, reply: Optional[BatchInferenceResponse]
     ) -> None:
-        """Land the edge's answer (or the lack of one) on a chunk."""
-        pending.attempts = attempts
-        pending.retry_ms = retry_ms
+        """Land the edge's answer (or the lack of one) on a chunk.
+
+        This is the one place fallbacks are counted, in samples.
+        """
         if reply is None:
             # The whole chunk degrades together: every miss keeps its
-            # binary-branch argmax, already in `predictions`.  The
-            # transport helper counted one fallback for the chunk; the
-            # counter tracks samples.
+            # binary-branch argmax, already in `predictions`.
             pending.served_by = SERVED_BY_FALLBACK
-            self.fault_counters.fallbacks += int(pending.miss_idx.size) - 1
+            self.fault_counters.add("fallbacks", int(pending.miss_idx.size))
         else:
             by_sequence = {
                 int(s): int(c) for s, c in zip(reply.sequences, reply.class_ids)
@@ -1398,18 +1255,19 @@ class LCRSDeployment:
 
         for start in range(0, len(images), config.batch_size):
             pending = self._begin_chunk(images, start, ctx)
-            if pending.request is not None:
-                reply, attempts, retry_ms = self._exchange_with_retry(
-                    pending.request,
-                    BatchInferenceResponse,
-                    link=ctx.link,
-                    policy=ctx.policy,
-                    recorder=ctx.recorder,
-                    trace_id=pending.trace_id,
-                    track=ctx.track,
-                    span_sink=pending.spans,
+            request = pending.request
+            if request is not None:
+                reply = self._send_with_retry(
+                    pending,
+                    ctx,
+                    "direct",
+                    # Resolved per attempt: tests swap the server's handler.
+                    deliver=lambda frame, wasted_ms: self._edge_server.handle(frame),
+                    accept=lambda reply: (
+                        reply if self._reply_valid(reply, request) else None
+                    ),
                 )
-                self._apply_reply(pending, reply, attempts, retry_ms)
+                self._apply_reply(pending, reply)
             self._finish_chunk(pending, ctx, outcomes, costs, sim_now=sim_clock)
             sim_clock += sum(c.total_ms for c in costs[len(costs) - pending.count :])
 

@@ -20,6 +20,7 @@ from repro.runtime import (
     SERVED_BY_FALLBACK,
     BatchInferenceRequest,
     BatchInferenceResponse,
+    EdgeScheduler,
     ErrorResponse,
     FaultyLink,
     FrameDropped,
@@ -34,6 +35,7 @@ from repro.runtime import (
     encode_frame,
     faulty,
     four_g,
+    run_concurrent_sessions,
     simulate_plan,
 )
 
@@ -61,6 +63,24 @@ def strict_system(trained_system, tiny_mnist):
     )
     yield trained_system, test
     trained_system.calibration = original
+
+
+#: The two miss-path transports of the one retry loop.
+TRANSPORTS = ("direct", "scheduler")
+
+
+def serve(deployment, images, transport, config=None):
+    """One session over ``transport``: ``run_session`` against the
+    deployment's private edge server, or ``run_concurrent_sessions``
+    with this session alone on a shared :class:`EdgeScheduler`."""
+    config = config if config is not None else SessionConfig()
+    if transport == "direct":
+        return deployment.run_session(images, config=config)
+    scheduler = EdgeScheduler.for_system(deployment.system)
+    (result,) = run_concurrent_sessions(
+        [deployment], [images], scheduler, config=config
+    )
+    return result
 
 
 def branch_predictions(deployment, images) -> np.ndarray:
@@ -353,14 +373,15 @@ class TestGracefulDegradation:
         assert session.fallback_rate == pytest.approx(len(misses) / len(images))
         assert session.degraded
 
-    def test_partition_counters(self, strict_system):
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_partition_counters(self, strict_system, transport):
         system, test = strict_system
         deployment = LCRSDeployment(
             system,
             faulty(four_g(seed=2).deterministic(), "partition"),
             retry_policy=FAST_POLICY,
         )
-        session = deployment.run_session(test.images[:20])
+        session = serve(deployment, test.images[:20], transport)
         misses = sum(not o.exited_locally for o in session.outcomes)
         counters = deployment.fault_counters
         assert counters.fallbacks == misses
@@ -534,6 +555,39 @@ class TestGracefulDegradation:
         assert all(o.served_by == SERVED_BY_FALLBACK for o in misses)
 
 
+class TestFaultCounterWatchers:
+    def test_watchers_see_every_increment(self, strict_system):
+        """`fault.*` writes go through ``Counter.add``, so a ``watch()``
+        hook — the tap windowed series and SLOs build on — sees every
+        increment of a lossy session, not just the final value."""
+        system, test = strict_system
+        deployment = LCRSDeployment(
+            system,
+            faulty(four_g(seed=2).deterministic(), "none", seed=5, drop_prob=0.7),
+            retry_policy=FAST_POLICY,
+        )
+        counters = deployment.fault_counters
+        seen = {"fallbacks": [], "frames_sent": []}
+        for name, amounts in seen.items():
+            counters.registry.counter(f"fault.{name}").watch(amounts.append)
+        session = deployment.run_session(test.images[:20])
+
+        fallbacks = sum(o.served_by == SERVED_BY_FALLBACK for o in session.outcomes)
+        assert fallbacks > 0
+        assert sum(seen["fallbacks"]) == counters.fallbacks == fallbacks
+        attempts = sum(o.attempts for o in session.outcomes)
+        assert attempts > fallbacks
+        assert sum(seen["frames_sent"]) == counters.frames_sent == attempts
+        assert seen["frames_sent"] == [1] * attempts
+
+    def test_fields_are_read_only(self):
+        counters = FaultCounters()
+        with pytest.raises(AttributeError):
+            counters.retries += 1
+        counters.add("retries")
+        assert counters.retries == 1
+
+
 class TestFaultCountersType:
     def test_reset_and_dict_roundtrip(self):
         counters = FaultCounters(frames_sent=3, frames_dropped=2, retries=1)
@@ -590,7 +644,10 @@ class TestFaultSmokeProfile:
     degraded path's invariants hold whatever the link does."""
 
     @pytest.mark.parametrize("batch_size", [1, 8])
-    def test_smoke_profile_session_invariants(self, strict_system, batch_size):
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_smoke_profile_session_invariants(
+        self, strict_system, transport, batch_size
+    ):
         profile = os.environ.get("REPRO_FAULT_PROFILE", "smoke")
         if profile == "none":
             profile = "smoke"
@@ -601,7 +658,9 @@ class TestFaultSmokeProfile:
             faulty(four_g(seed=2), profile, seed=13),
             retry_policy=FAST_POLICY,
         )
-        session = deployment.run_session(images, config=SessionConfig(batch_size=batch_size))
+        session = serve(
+            deployment, images, transport, SessionConfig(batch_size=batch_size)
+        )
 
         assert len(session.outcomes) == len(images)
         counters = deployment.fault_counters

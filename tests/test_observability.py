@@ -136,11 +136,11 @@ class TestCountersScope:
         from repro.profiling import FaultCounters, counters_scope
 
         counters = FaultCounters()
-        counters.retries += 2
+        counters.add("retries", 2)
         global_registry().counter("test.scope.probe").add(1)
         with counters_scope():
-            counters.retries += 100
-            counters.frames_dropped += 3
+            counters.add("retries", 100)
+            counters.add("frames_dropped", 3)
             global_registry().counter("test.scope.probe").add(41)
             assert counters.retries == 102
         assert counters.retries == 2

@@ -11,6 +11,7 @@ probabilistic, so the hammer tests use barriers and enough iterations
 that the pre-fix code fails them reliably.
 """
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -20,7 +21,13 @@ import pytest
 from repro.nn.autograd import Tensor, is_grad_enabled, no_grad
 from repro.observability.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.profiling.op_counters import OpCounter
-from repro.runtime import LCRSDeployment, SessionConfig, four_g
+from repro.runtime import (
+    SERVED_BY_FALLBACK,
+    LCRSDeployment,
+    RetryPolicy,
+    SessionConfig,
+    four_g,
+)
 from repro.runtime.session import EdgeEndpoint
 from repro.wasm.bitpack import (
     last_dot_stats,
@@ -340,6 +347,51 @@ class TestSharedEndpointConcurrency:
             assert key == solo_key
 
         _run_threads(THREADS, work)
+
+
+class TestSharedDeploymentFaultCounters:
+    def test_fault_counters_exact_under_concurrent_sessions(
+        self, trained_system, tiny_mnist
+    ):
+        """N threads run lossy batch-1 sessions on one shared deployment.
+
+        Every attempt and every fallback must be counted exactly once:
+        a read-then-set counter write loses increments when threads
+        interleave, which a tiny interpreter switch interval provokes.
+        """
+        _, test = tiny_mnist
+        images = test.images[:120]
+        deployment = LCRSDeployment(
+            trained_system,
+            four_g(seed=3).deterministic(),
+            retry_policy=RetryPolicy(max_attempts=3, per_attempt_timeout_ms=50.0),
+        )
+        results = [[] for _ in range(THREADS)]
+        barrier = threading.Barrier(THREADS)
+
+        def work(idx):
+            barrier.wait()
+            for rnd in range(8):
+                config = SessionConfig(
+                    threshold=0.05,
+                    fault_overrides={"drop_prob": 0.6},
+                    fault_seed=idx * 8 + rnd,
+                )
+                results[idx].append(deployment.run_session(images, config=config))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _run_threads(THREADS, work)
+        finally:
+            sys.setswitchinterval(interval)
+
+        outcomes = [o for runs in results for r in runs for o in r.outcomes]
+        counters = deployment.fault_counters
+        fallbacks = sum(o.served_by == SERVED_BY_FALLBACK for o in outcomes)
+        assert fallbacks > 0
+        assert counters.frames_sent == sum(o.attempts for o in outcomes)
+        assert counters.fallbacks == fallbacks
 
 
 # ----------------------------------------------------------------------
