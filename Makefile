@@ -10,7 +10,7 @@
 PY ?= python
 PYTEST = PYTHONPATH=src $(PY) -m pytest -x -q
 
-.PHONY: test fault-smoke trace-smoke plan-smoke fleet-smoke obs-smoke tau-smoke golden golden-1t stress perf-smoke verify bench bench-sched bench-par bench-par-wall bench-plan bench-fleet bench-tau bench-check bench-check-dry
+.PHONY: sloc test fault-smoke trace-smoke plan-smoke fleet-smoke obs-smoke tau-smoke golden golden-1t stress perf-smoke verify bench bench-sched bench-par bench-par-wall bench-plan bench-fleet bench-tau bench-check bench-check-dry
 
 test:
 	$(PYTEST)
@@ -82,3 +82,9 @@ bench-check:
 
 bench-check-dry:
 	$(PY) benchmarks/bench_check.py --dry-run
+
+# Lines of src/: total and code-only (no blank, comment or docstring
+# lines).  REF=<git-ref> adds the delta against that commit.  A report,
+# not a gate, so it is not part of verify.
+sloc:
+	$(PY) benchmarks/sloc.py $(if $(REF),--against $(REF))

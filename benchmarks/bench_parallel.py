@@ -19,11 +19,6 @@ when the host has ≥ 2 cores — a 1-core box cannot beat one core's
 capacity no matter how many worker threads it runs, and the record says
 so explicitly instead of failing on physics.
 
-A further section times the intra-op ``num_threads`` knob of the
-blocked XNOR-popcount kernels through a real branch-engine forward
-(wall clock via :mod:`repro.observability.clock`) and checks the
-outputs are byte-identical at every thread count.
-
 Standalone — run it directly, not under pytest::
 
     PYTHONPATH=src python benchmarks/bench_parallel.py
@@ -45,8 +40,6 @@ OUTPUT_PATH = REPO_ROOT / "BENCH_parallel.json"
 WORKERS = (1, 2, 4)
 REQUESTS = 16
 BATCH_SIZE = 4
-THREAD_COUNTS = (1, 2, 4)
-FORWARD_REPEATS = 5
 SEED = 0
 SPEEDUP_FLOOR = 2.5
 #: Acceptance floor for *measured* wall-clock speedup at max workers —
@@ -142,46 +135,6 @@ def bench_worker_scaling_wall(system, test) -> dict:
     return record
 
 
-def bench_intra_op_threads(system, test) -> dict:
-    """Wall-time the branch engine's forward across num_threads values.
-
-    On a single-core host the wall times will not scale; the section
-    exists to record that the knob never changes a bit of output and to
-    document per-thread-count wall cost where cores are available.
-    """
-    import numpy as np
-
-    from repro.observability.clock import now_s
-    from repro.runtime import build_lcrs_assets
-    from repro.wasm import WasmModel
-
-    assets = build_lcrs_assets(system.model)
-    images = test.images[:32].astype(np.float32)
-    stem = WasmModel.load(assets.stem_payload)
-    features = stem.forward(images)
-
-    baseline = None
-    points = []
-    for threads in THREAD_COUNTS:
-        engine = WasmModel.load(assets.branch_payload, num_threads=threads)
-        out = engine.forward(features)  # warm caches before timing
-        best = float("inf")
-        for _ in range(FORWARD_REPEATS):
-            t0 = now_s()
-            out = engine.forward(features)
-            best = min(best, now_s() - t0)
-        if baseline is None:
-            baseline = out
-        points.append(
-            {
-                "num_threads": threads,
-                "forward_wall_ms": best * 1e3,
-                "bit_identical": out.tobytes() == baseline.tobytes(),
-            }
-        )
-    return {"samples": len(images), "points": points}
-
-
 def main() -> None:
     system, test = _build_system()
     scaling = bench_worker_scaling(system, test)
@@ -192,7 +145,6 @@ def main() -> None:
             "workers": list(WORKERS),
             "requests": REQUESTS,
             "batch_size": BATCH_SIZE,
-            "thread_counts": list(THREAD_COUNTS),
             "wall_repeats": WALL_REPEATS,
             "seed": SEED,
         },
@@ -203,7 +155,6 @@ def main() -> None:
         "results": {
             "worker_scaling": scaling,
             "worker_scaling_wall": wall,
-            "intra_op_threads": bench_intra_op_threads(system, test),
         },
     }
     OUTPUT_PATH.write_text(json.dumps(record, indent=2) + "\n")

@@ -17,10 +17,10 @@ shadowing the metric.
 
 Because counters now have a registry behind them, *scoping* them is
 possible: :func:`counters_scope` snapshots every live facade plus the
-true process-global counters (the bit-packing popcount totals and the
-observability global registry) and restores them on exit — the fixture
-``tests/conftest.py`` installs so tests stop leaking counter state into
-each other through session-scoped engines.
+observability global registry (which also holds the process-wide
+popcount total, ``wasm.bytes_popcounted``) and restores them on exit —
+the fixture ``tests/conftest.py`` installs so tests stop leaking counter
+state into each other through session-scoped engines.
 """
 
 from __future__ import annotations
@@ -410,15 +410,15 @@ def counters_scope() -> Iterator[None]:
     """Snapshot all live counter state; restore it on exit.
 
     Covers the three facade families (wherever their instances live —
-    session-scoped engines, module-level deployments), the bit-packing
-    kernel's process-global popcount totals, and the observability
-    global registry.  Facades *created inside* the scope are left alone
-    (they did not exist at snapshot time and own no prior state), so
-    wrapping every test makes counter state order-independent without
-    touching tests that build their own deployments.
+    session-scoped engines, module-level deployments) and the
+    observability global registry, which also holds the bit-packing
+    kernels' process-wide popcount total.  Facades *created inside* the
+    scope are left alone (they did not exist at snapshot time and own
+    no prior state), so wrapping every test makes counter state
+    order-independent without touching tests that build their own
+    deployments.
     """
     from ..observability.metrics import global_registry
-    from ..wasm import bitpack
 
     facades = [f for f in _LIVE_FACADES]
     reg_snaps = [(f, f.registry.state()) for f in facades]
@@ -432,7 +432,6 @@ def counters_scope() -> Iterator[None]:
         if isinstance(f, SchedulerCounters)
     ]
     global_snap = global_registry().state()
-    bitpack_snap = bitpack._REGISTRY.state()
     try:
         yield
     finally:
@@ -442,4 +441,3 @@ def counters_scope() -> Iterator[None]:
             f.per_tenant = tenants
             f.batch_size_hist = hist
         global_registry().restore(global_snap)
-        bitpack._REGISTRY.restore(bitpack_snap)

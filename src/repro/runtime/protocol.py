@@ -15,20 +15,22 @@ Frame layout (little endian)::
 
 Messages:
 
-* ``InferenceRequest``  — browser → edge: conv1 features (through a
-  :mod:`feature codec <repro.runtime.feature_codec>`), session/sequence
-  ids for correlation.
-* ``InferenceResponse`` — edge → browser: class id + confidence.
-* ``BatchInferenceRequest`` / ``BatchInferenceResponse`` — the batched
-  miss path: all uncertain samples of a processing batch travel in one
-  frame (one header, one payload, one round trip) and come back as one
-  vector of answers, keyed by per-sample sequence ids.
+* ``BatchInferenceRequest`` — browser → edge: the conv1 features of
+  every uncertain sample of a processing batch (through a
+  :mod:`feature codec <repro.runtime.feature_codec>`) in one frame, with
+  a session id and per-sample sequence ids for correlation.  A single
+  miss is a one-sample batch.
+* ``BatchInferenceResponse`` — edge → browser: one vector of class ids
+  and confidences, keyed by the same sequence ids.
 * ``ModelRequest`` / ``ModelResponse`` — bundle fetch at page load.
 * ``ErrorResponse``     — structured failure (unknown codec, bad shape);
   the shared edge scheduler also uses it for overload shedding (503).
 * ``SchedulerAck``      — edge → browser: a batched miss request was
   admitted to the shared scheduler queue; the correlated
   ``BatchInferenceResponse`` follows once its dynamic batch executes.
+
+Type values 1 and 2 (the retired single-sample request/response) are
+unassigned; a frame carrying either fails as an unknown message type.
 """
 
 from __future__ import annotations
@@ -53,8 +55,6 @@ class ProtocolError(ValueError):
 
 
 class MessageType(enum.IntEnum):
-    INFERENCE_REQUEST = 1
-    INFERENCE_RESPONSE = 2
     MODEL_REQUEST = 3
     MODEL_RESPONSE = 4
     ERROR = 5
@@ -63,94 +63,21 @@ class MessageType(enum.IntEnum):
     SCHEDULER_ACK = 8
 
 
-@dataclass(frozen=True)
-class InferenceRequest:
-    """Browser → edge: classify these conv1 features."""
+def _header_uint(value: object, name: str) -> int:
+    """A JSON header id or dimension: an int that fits the wire's u64.
 
-    session_id: int
-    sequence: int
-    codec: str
-    feature_shape: tuple[int, ...]
-    payload: bytes
-
-    type = MessageType.INFERENCE_REQUEST
-
-    def pack(self) -> bytes:
-        header = json.dumps(
-            {
-                "session_id": self.session_id,
-                "sequence": self.sequence,
-                "codec": self.codec,
-                "shape": list(self.feature_shape),
-            }
-        ).encode("utf-8")
-        return struct.pack("<I", len(header)) + header + self.payload
-
-    @classmethod
-    def unpack(cls, body: bytes) -> "InferenceRequest":
-        if len(body) < 4:
-            raise ProtocolError("truncated inference request")
-        (hlen,) = struct.unpack("<I", body[:4])
-        if len(body) < 4 + hlen:
-            raise ProtocolError("truncated inference request header")
-        try:
-            meta = json.loads(body[4 : 4 + hlen].decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ProtocolError(f"bad request header: {exc}") from exc
-        try:
-            return cls(
-                session_id=int(meta["session_id"]),
-                sequence=int(meta["sequence"]),
-                codec=str(meta["codec"]),
-                feature_shape=tuple(int(d) for d in meta["shape"]),
-                payload=body[4 + hlen :],
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            # Valid JSON, wrong schema (missing/mistyped fields): still a
-            # malformed frame, not a server crash.
-            raise ProtocolError(f"bad request header fields: {exc!r}") from exc
-
-    def features(self) -> np.ndarray:
-        """Decode the carried tensor through the named codec."""
-        return get_codec(self.codec).decode(self.payload, self.feature_shape)
-
-    @classmethod
-    def from_features(
-        cls, session_id: int, sequence: int, codec_name: str, features: np.ndarray
-    ) -> "InferenceRequest":
-        codec = get_codec(codec_name)
-        return cls(
-            session_id=session_id,
-            sequence=sequence,
-            codec=codec_name,
-            feature_shape=tuple(features.shape),
-            payload=codec.encode(features),
-        )
+    Ids are echoed back packed as u64, so a negative or oversized value
+    is a malformed request here rather than a crash when replying.
+    """
+    if type(value) is not int or not 0 <= value < 2**64:
+        raise ProtocolError(f"{name} must be an integer in [0, 2**64), got {value!r}")
+    return value
 
 
-@dataclass(frozen=True)
-class InferenceResponse:
-    """Edge → browser: the main branch's answer."""
-
-    session_id: int
-    sequence: int
-    class_id: int
-    confidence: float
-
-    type = MessageType.INFERENCE_RESPONSE
-    _BODY = struct.Struct("<QQif")
-
-    def pack(self) -> bytes:
-        return self._BODY.pack(
-            self.session_id, self.sequence, self.class_id, self.confidence
-        )
-
-    @classmethod
-    def unpack(cls, body: bytes) -> "InferenceResponse":
-        if len(body) != cls._BODY.size:
-            raise ProtocolError("bad inference response size")
-        session_id, sequence, class_id, confidence = cls._BODY.unpack(body)
-        return cls(session_id, sequence, class_id, confidence)
+def _header_list(value: object, name: str) -> list:
+    if not isinstance(value, list):
+        raise ProtocolError(f"{name} must be a JSON list, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -201,10 +128,16 @@ class BatchInferenceRequest:
             raise ProtocolError(f"bad batch request header: {exc}") from exc
         try:
             return cls(
-                session_id=int(meta["session_id"]),
-                sequences=tuple(int(s) for s in meta["sequences"]),
+                session_id=_header_uint(meta["session_id"], "session_id"),
+                sequences=tuple(
+                    _header_uint(s, "sequence")
+                    for s in _header_list(meta["sequences"], "sequences")
+                ),
                 codec=str(meta["codec"]),
-                feature_shape=tuple(int(d) for d in meta["shape"]),
+                feature_shape=tuple(
+                    _header_uint(d, "shape dim")
+                    for d in _header_list(meta["shape"], "shape")
+                ),
                 payload=body[4 + hlen :],
                 trace_id=str(meta.get("trace_id", "")),
             )
@@ -396,8 +329,6 @@ class ErrorResponse:
 
 
 Message = Union[
-    InferenceRequest,
-    InferenceResponse,
     BatchInferenceRequest,
     BatchInferenceResponse,
     ModelRequest,
@@ -407,8 +338,6 @@ Message = Union[
 ]
 
 _DECODERS = {
-    MessageType.INFERENCE_REQUEST: InferenceRequest.unpack,
-    MessageType.INFERENCE_RESPONSE: InferenceResponse.unpack,
     MessageType.BATCH_INFERENCE_REQUEST: BatchInferenceRequest.unpack,
     MessageType.BATCH_INFERENCE_RESPONSE: BatchInferenceResponse.unpack,
     MessageType.MODEL_REQUEST: ModelRequest.unpack,
@@ -461,27 +390,6 @@ class EdgeProtocolServer:
         except ProtocolError as exc:
             return encode_frame(ErrorResponse(code=400, message=str(exc)))
 
-        if isinstance(message, InferenceRequest):
-            try:
-                features = message.features()
-            except Exception as exc:  # codec/shape errors become 422s
-                return encode_frame(ErrorResponse(code=422, message=str(exc)))
-            try:
-                logits = self.endpoint.infer(features)
-                probs = np.exp(logits - logits.max(axis=1, keepdims=True))
-                probs /= probs.sum(axis=1, keepdims=True)
-                class_id = int(logits.argmax(axis=1)[0])
-                response = InferenceResponse(
-                    session_id=message.session_id,
-                    sequence=message.sequence,
-                    class_id=class_id,
-                    confidence=float(probs[0, class_id]),
-                )
-            except Exception as exc:  # endpoint failures stay on the wire
-                return encode_frame(
-                    ErrorResponse(code=500, message=f"inference failed: {exc}")
-                )
-            return encode_frame(response)
         if isinstance(message, BatchInferenceRequest):
             try:
                 features = message.features()

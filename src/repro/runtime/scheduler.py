@@ -116,6 +116,8 @@ class _Queued:
     ticket: int
     tenant: int
     request: BatchInferenceRequest
+    #: The request's decoded feature stack, decoded at admission.
+    features: np.ndarray
     arrival_ms: float
 
     @property
@@ -295,10 +297,12 @@ class EdgeScheduler:
 
         Returns an encoded :class:`SchedulerAck` on admission, or an
         :class:`ErrorResponse` — 400 for undecodable frames, 405 for
-        non-batch messages, 503 when admission control sheds the
-        request.  The 503 carries no ticket: the class ids will never
-        come, and the client's retry policy (then binary-branch
-        fallback) takes over.
+        non-batch messages, 422 when the features do not decode (the
+        decode happens here, so one tenant's bad payload never reaches
+        a shared batch), 503 when admission control sheds the request.
+        The 503 carries no ticket: the class ids will never come, and
+        the client's retry policy (then binary-branch fallback) takes
+        over.
         """
         counters = self.counters
         counters.add("submitted_requests")
@@ -318,6 +322,11 @@ class EdgeScheduler:
                     ),
                 )
             )
+        try:
+            features = message.features()
+        except ValueError as exc:  # CodecError, ProtocolError, bad reshape
+            counters.add("malformed_requests")
+            return encode_frame(ErrorResponse(code=422, message=str(exc)))
         tenant = int(message.session_id)
         self.register(tenant)
         n = len(message.sequences)
@@ -371,6 +380,7 @@ class EdgeScheduler:
                 ticket=ticket,
                 tenant=tenant,
                 request=message,
+                features=features,
                 arrival_ms=float(arrival_ms),
             )
         )
@@ -430,9 +440,7 @@ class EdgeScheduler:
         """
         rec = self.recorder
         wall0 = now_ms() if rec.enabled else 0.0
-        features = np.concatenate(
-            [q.request.features() for q in batch.chosen], axis=0
-        )
+        features = np.concatenate([q.features for q in batch.chosen], axis=0)
         logits = self.endpoint.infer(features)
         infer_wall_ms = now_ms() - wall0 if rec.enabled else 0.0
         return logits, infer_wall_ms

@@ -119,11 +119,6 @@ class SessionConfig:
     seeds those draws.  ``fault_overrides`` accepts a mapping and is
     normalized to a sorted tuple of pairs so the config stays hashable.
 
-    ``num_threads`` sets the browser engines' intra-op thread count for
-    the XNOR-popcount kernels (see
-    :func:`repro.wasm.bitpack.packed_dot`); predictions, entropies, and
-    exit decisions are bit-identical for every value.
-
     ``compile_plan`` routes the stem/branch engines and the edge trunk
     through trace-compiled fused plans (see :mod:`repro.wasm.plan`).
     Plans are probe-verified bit-identical to the interpreter at compile
@@ -146,15 +141,12 @@ class SessionConfig:
     fault_profile: Optional[str] = None
     fault_overrides: tuple = ()
     fault_seed: int = 0
-    num_threads: int = 1
     compile_plan: bool = True
     quality_tier: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
-        if self.num_threads < 1:
-            raise ValueError("num_threads must be at least 1")
         if self.quality_tier is not None and self.quality_tier < 1:
             raise ValueError("quality_tier must be at least 1")
         if self.threshold is not None and not 0.0 <= self.threshold <= 1.0:
@@ -519,7 +511,6 @@ class BrowserClient:
         engine = self._tier_engines.get(tier)
         if engine is None:
             engine = WasmModel.load(self._tier_payloads[tier - 1])
-            engine.num_threads = self.branch_engine.num_threads
             self._tier_engines[tier] = engine
         return engine
 
@@ -531,21 +522,6 @@ class BrowserClient:
         :meth:`repro.wasm.WasmModel.forward_planned`).
         """
         self.compile_plan = bool(compile_plan)
-
-    def set_num_threads(self, num_threads: int) -> None:
-        """Set every engine's intra-op kernel thread count.
-
-        Purely a performance knob: the threaded popcount kernels are
-        bit-identical to serial (see
-        :func:`repro.wasm.bitpack.packed_dot`).
-        """
-        num_threads = int(num_threads)
-        if num_threads < 1:
-            raise ValueError("num_threads must be at least 1")
-        self.stem_engine.num_threads = num_threads
-        self.branch_engine.num_threads = num_threads
-        for engine in self._tier_engines.values():
-            engine.num_threads = num_threads
 
     def process(self, image: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, bool]:
         """Run the local pipeline on one CHW image.
@@ -960,7 +936,6 @@ class LCRSDeployment:
                 **dict(config.fault_overrides),
             )
         rec = recorder if recorder is not None else self.recorder
-        self.browser.set_num_threads(config.num_threads)
         self.browser.set_compile_plan(config.compile_plan)
         self.edge.compile_plan = config.compile_plan
         stem_ms = branch_ms = 0.0

@@ -10,10 +10,7 @@ guarantees the scheduler's determinism story needs:
   order regardless of which worker finished first, so reply routing
   never depends on thread timing.
 * **Deterministic partitioning** — :meth:`partition` splits ``n`` items
-  into balanced *contiguous* ranges, the same split every call, so
-  intra-op chunking (see :func:`repro.wasm.bitpack.packed_dot`) always
-  draws tile boundaries in the same places and stays bit-identical to
-  serial execution.
+  into balanced *contiguous* ranges, the same split every call.
 * **Busy accounting** — the pool tracks how many workers are executing
   at each instant and publishes the current/high-water counts to an
   optional :class:`~repro.observability.metrics.Gauge`, which is where

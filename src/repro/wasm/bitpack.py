@@ -22,20 +22,25 @@ memory is bounded by a configurable block size (default 4 MB) instead of
 the ``p·q·bytes`` an outer-product broadcast would allocate.  This is the
 layout a WASM SIMD kernel uses to stay inside linear memory and keep the
 working set in cache — XNOR-Net's reported conv speedups assume exactly
-this kind of bit-blocked inner loop.  Per-call allocation accounting is
-exposed through :func:`last_dot_stats` so tests can assert the bound and
-profiling hooks can attribute popcount traffic to layers.
+this kind of bit-blocked inner loop.  It runs serially on the calling
+thread; compiled plans (:mod:`repro.wasm.plan`) do the serving work in C
+and are probe-verified against this kernel.
+
+The calling thread's last call is reported by :func:`last_dot_stats`, so
+tests can assert the bound.  Popcount traffic from both kernel paths is
+tallied per thread (for per-layer attribution) and process-wide in the
+``wasm.bytes_popcounted`` counter of the global metrics registry.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+
+from ..observability.metrics import global_registry
 
 #: Default ceiling for a single ``packed_dot`` call's scratch buffers.
 DEFAULT_BLOCK_BYTES = 4 * 1024 * 1024
@@ -50,27 +55,18 @@ class PackedDotStats:
     bytes_popcounted: int = 0
     block_bytes: int = DEFAULT_BLOCK_BYTES
     output_shape: tuple[int, int] = (0, 0)
-    num_threads: int = 1
-    #: Which execution path produced the call: ``"interpreter"`` for
-    #: :func:`packed_dot`, ``"plan"`` for a compiled plan's fused kernel.
-    source: str = "interpreter"
-
-    @property
-    def key(self) -> tuple[str, int, int]:
-        """The stats-registry key: (source, block_bytes, num_threads)."""
-        return (self.source, self.block_bytes, self.num_threads)
 
 
 class _ThreadDotState(threading.local):
     """Per-thread kernel bookkeeping.
 
-    ``last`` is the most recent :class:`PackedDotStats` recorded *by
-    this thread* — "last call" is only a meaningful question per caller
-    once concurrent engines run, so the answer lives in thread-local
-    storage instead of a keyed global that another thread can clobber.
-    ``bytes_popcounted`` is this thread's cumulative popcount traffic;
-    profiling hooks snapshot it around an op to attribute traffic
-    per layer without another thread's kernels bleeding into the delta.
+    ``last`` is the most recent :func:`packed_dot` call's
+    :class:`PackedDotStats` *on this thread* — thread-local, so a
+    concurrent engine on another thread cannot clobber it.
+    ``bytes_popcounted`` is this thread's cumulative popcount traffic,
+    interpreter and compiled-plan kernels alike; profiling hooks
+    snapshot it around an op to attribute traffic per layer without
+    another thread's kernels bleeding into the delta.
     """
 
     last: Optional[PackedDotStats] = None
@@ -79,206 +75,43 @@ class _ThreadDotState(threading.local):
 
 _THREAD_STATE = _ThreadDotState()
 
+#: Process-wide popcount traffic, summed over every thread and both
+#: kernel paths; written only through the metric's locked ``add``.
+_BYTES_POPCOUNTED = global_registry().counter("wasm.bytes_popcounted")
 
-class _DotStatsRegistry:
-    """Lock-guarded keyed stats registry plus the global popcount total.
 
-    Interpreter kernels and compiled-plan kernels record under different
-    sources (and different block/thread configurations under different
-    keys), so a reader that cares about one configuration is not raced
-    by calls made under another.  LRU-bounded so the registry cannot
-    grow without bound across configuration sweeps; insertion, eviction,
-    the eviction tally, and the process-global byte total all mutate
-    under one lock so concurrent ``packed_dot`` calls never lose counts
-    or double-pop the LRU.
+def last_dot_stats() -> PackedDotStats:
+    """Stats of the calling thread's most recent :func:`packed_dot` call.
+
+    Returns an empty :class:`PackedDotStats` when this thread has not
+    called the kernel yet.
     """
-
-    def __init__(self, maxsize: int) -> None:
-        self._lock = threading.Lock()
-        self._stats: "OrderedDict[tuple[str, int, int], PackedDotStats]" = OrderedDict()
-        self.maxsize = maxsize
-        self._evictions = 0
-        self._total_bytes = 0
-
-    def record(self, stats: PackedDotStats) -> None:
-        _THREAD_STATE.last = stats
-        with self._lock:
-            self._stats[stats.key] = stats
-            self._stats.move_to_end(stats.key)
-            while len(self._stats) > self.maxsize:
-                self._stats.popitem(last=False)
-                self._evictions += 1
-
-    def add_bytes(self, n: int) -> None:
-        _THREAD_STATE.bytes_popcounted += n
-        with self._lock:
-            self._total_bytes += n
-
-    @property
-    def total_bytes(self) -> int:
-        with self._lock:
-            return self._total_bytes
-
-    def lookup(
-        self,
-        source: Optional[str],
-        block_bytes: Optional[int],
-        num_threads: Optional[int],
-    ) -> PackedDotStats:
-        with self._lock:
-            for key in reversed(self._stats):
-                k_source, k_block, k_threads = key
-                if source is not None and k_source != source:
-                    continue
-                if block_bytes is not None and k_block != int(block_bytes):
-                    continue
-                if num_threads is not None and k_threads != int(num_threads):
-                    continue
-                return self._stats[key]
-        return PackedDotStats(block_bytes=0, source=source or "")
-
-    def info(self) -> dict[str, object]:
-        with self._lock:
-            return {
-                "size": len(self._stats),
-                "maxsize": self.maxsize,
-                "evictions": self._evictions,
-                "keys": list(self._stats.keys()),
-            }
-
-    # -- scoped snapshot/restore (tests) -------------------------------
-    def state(self) -> tuple:
-        with self._lock:
-            return (
-                self._stats.copy(),
-                self._evictions,
-                self._total_bytes,
-                _THREAD_STATE.last,
-                _THREAD_STATE.bytes_popcounted,
-            )
-
-    def restore(self, state: tuple) -> None:
-        stats, evictions, total, last, thread_bytes = state
-        with self._lock:
-            self._stats.clear()
-            self._stats.update(stats)
-            self._evictions = evictions
-            self._total_bytes = total
-        _THREAD_STATE.last = last
-        _THREAD_STATE.bytes_popcounted = thread_bytes
+    last = _THREAD_STATE.last
+    return last if last is not None else PackedDotStats()
 
 
-_REGISTRY = _DotStatsRegistry(maxsize=32)
-
-
-def _record_dot_stats(stats: PackedDotStats) -> None:
-    _REGISTRY.record(stats)
-
-#: Module default for :func:`packed_dot`'s ``num_threads`` (the knob a
-#: WASM host would set from ``navigator.hardwareConcurrency``).  Set by
-#: plain rebind (atomic store) in :func:`set_num_threads`.
-_NUM_THREADS = 1
-
-#: Cached executors keyed by thread count — worker threads are reused
-#: across calls, the way a WASM SIMD kernel reuses its worker pool.
-#: Creation is lock-guarded so two engines racing on first use cannot
-#: leak a second pool for the same count.
-_EXECUTORS: dict[int, ThreadPoolExecutor] = {}
-_EXECUTORS_LOCK = threading.Lock()
-
-
-def set_num_threads(n: int) -> int:
-    """Set the module-default intra-op thread count; returns the old one."""
-    global _NUM_THREADS
-    n = int(n)
-    if n < 1:
-        raise ValueError("num_threads must be at least 1")
-    previous = _NUM_THREADS
-    _NUM_THREADS = n
-    return previous
-
-
-def get_num_threads() -> int:
-    """The module-default intra-op thread count."""
-    return _NUM_THREADS
-
-
-def _executor(n: int) -> ThreadPoolExecutor:
-    with _EXECUTORS_LOCK:
-        pool = _EXECUTORS.get(n)
-        if pool is None:
-            pool = ThreadPoolExecutor(max_workers=n, thread_name_prefix="bitpack")
-            _EXECUTORS[n] = pool
-        return pool
-
-
-def last_dot_stats(
-    source: Optional[str] = None,
-    block_bytes: Optional[int] = None,
-    num_threads: Optional[int] = None,
-) -> PackedDotStats:
-    """Stats of the most recent popcount dot-product call.
-
-    With no arguments this is the most recent call made *by the calling
-    thread*, of any configuration — thread-local, so a test or profiling
-    hook that reads right after its own kernel call can never observe a
-    concurrent thread's stats.  Passing any of ``source`` /
-    ``block_bytes`` / ``num_threads`` filters the process-wide keyed
-    registry instead and returns the most recent call matching every
-    given field — e.g. ``last_dot_stats(source="plan")`` is never raced
-    by interleaved interpreter calls.  Returns an empty
-    :class:`PackedDotStats` when nothing matches.
-    """
-    if source is None and block_bytes is None and num_threads is None:
-        last = _THREAD_STATE.last
-        return last if last is not None else PackedDotStats()
-    return _REGISTRY.lookup(source, block_bytes, num_threads)
-
-
-def dot_stats_cache_info() -> dict[str, object]:
-    """Occupancy of the keyed dot-stats registry (LRU-bounded)."""
-    return _REGISTRY.info()
-
-
-def record_plan_popcount(
-    bytes_popcounted: int,
-    output_shape: tuple[int, int],
-    block_bytes: Optional[int] = None,
-    num_threads: int = 1,
-) -> None:
+def record_plan_popcount(bytes_popcounted: int) -> None:
     """Account popcount traffic executed by a compiled plan's kernel.
 
     Compiled plans run their XNOR-popcount loops outside
-    :func:`packed_dot`; this keeps the process-global popcount total and
-    the keyed stats registry (under ``source="plan"``) consistent with
-    the interpreter path so profiling hooks see one coherent stream.
+    :func:`packed_dot`; this adds their bytes to the calling thread's
+    tally and the process-wide ``wasm.bytes_popcounted`` counter, the
+    same two places the interpreter kernel writes.
     """
     bytes_popcounted = int(bytes_popcounted)
-    _REGISTRY.add_bytes(bytes_popcounted)
-    _record_dot_stats(
-        PackedDotStats(
-            peak_temp_bytes=0,
-            tile_count=1,
-            bytes_popcounted=bytes_popcounted,
-            block_bytes=(
-                int(block_bytes) if block_bytes is not None else DEFAULT_BLOCK_BYTES
-            ),
-            output_shape=tuple(int(d) for d in output_shape),
-            num_threads=int(num_threads),
-            source="plan",
-        )
-    )
+    _THREAD_STATE.bytes_popcounted += bytes_popcounted
+    _BYTES_POPCOUNTED.add(bytes_popcounted)
 
 
 def total_bytes_popcounted() -> int:
-    """Cumulative bytes run through the popcount unit since import.
+    """Cumulative bytes run through the popcount unit.
 
-    A monotone process-wide counter, summed over every thread.  For
-    per-op attribution under concurrency use
-    :func:`thread_bytes_popcounted` instead — deltas of the global
-    counter include other threads' traffic.
+    The ``wasm.bytes_popcounted`` counter of the global metrics
+    registry, summed over every thread.  For per-op attribution under
+    concurrency use :func:`thread_bytes_popcounted` instead — deltas of
+    the global counter include other threads' traffic.
     """
-    return _REGISTRY.total_bytes
+    return _BYTES_POPCOUNTED.value
 
 
 def thread_bytes_popcounted() -> int:
@@ -286,9 +119,7 @@ def thread_bytes_popcounted() -> int:
 
     The attribution counter: engines snapshot it around an op so the
     delta is exactly the traffic that op's kernels issued, regardless of
-    what other threads are running.  Kernels threaded via
-    ``num_threads`` still account to the thread that called
-    :func:`packed_dot` (recording happens after the worker fan-in).
+    what other threads are running.
     """
     return _THREAD_STATE.bytes_popcounted
 
@@ -352,7 +183,6 @@ def packed_dot(
     mask: np.ndarray | None = None,
     length: int | None = None,
     block_bytes: int | None = None,
-    num_threads: int | None = None,
 ) -> np.ndarray:
     """Signed dot products between two packed bitplane matrices.
 
@@ -370,14 +200,6 @@ def packed_dot(
     ``block_bytes`` (default :data:`DEFAULT_BLOCK_BYTES`); buffers are
     reused across tiles, so peak temporary memory is one tile regardless
     of ``p·q``.  :func:`last_dot_stats` reports the realised peak.
-
-    ``num_threads`` (default: the module setting, see
-    :func:`set_num_threads`) splits the *row-tile* loop across that many
-    worker threads.  Each worker owns private scratch and writes a
-    disjoint contiguous slice of rows of the output, and the tile
-    boundaries are identical to the serial schedule, so the result is
-    bit-identical for every thread count; peak scratch scales with the
-    number of workers actually used and is reported in the stats.
     """
     va = np.ascontiguousarray(va, dtype=np.uint8)
     vb = np.ascontiguousarray(vb, dtype=np.uint8)
@@ -423,10 +245,6 @@ def packed_dot(
     budget = max(block - overhead, 64)
     pt, qt = _tile_sizes(p, q, nwords, widened, mask is not None, budget)
 
-    threads = _NUM_THREADS if num_threads is None else int(num_threads)
-    if threads < 1:
-        raise ValueError("num_threads must be at least 1")
-
     # The kernel works on little-endian uint64 words with the q axis
     # innermost — long contiguous inner loops for the XOR/popcount ufuncs
     # regardless of how few bytes one bitplane row occupies (a branch
@@ -439,99 +257,65 @@ def packed_dot(
     if mask is not None:
         mask_words = _as_words(mask, nwords)  # view unless widened
 
-    # Per-worker scratch, allocated once per worker at the chosen tile
-    # size: the XOR words, their popcounts, the int64 mismatch sums,
+    # Scratch, allocated once at the chosen tile size and reused across
+    # tiles: the XOR words, their popcounts, the int64 mismatch sums,
     # the row-widening copy, and (masked) the per-tile mask rows,
     # popcounts, and valid-bit totals.
-    per_worker = pt * nwords * qt * 8 + pt * nwords * qt + pt * qt * 8
+    scratch = pt * nwords * qt * 8 + pt * nwords * qt + pt * qt * 8
     if widened:
-        per_worker += pt * nwords * 8
+        scratch += pt * nwords * 8
     if mask is not None:
-        per_worker += pt * nwords * 8 + pt * nwords + pt * 16
+        scratch += pt * nwords * 8 + pt * nwords + pt * 16
 
-    def run_tiles(row_starts: "list[int]") -> tuple[int, int]:
-        """Run the blocked kernel over a contiguous run of row tiles.
-
-        Each worker owns this closure's scratch and writes only its own
-        ``out[i0:i1]`` rows; the tile schedule is the serial one, so the
-        arithmetic per tile is independent of how tiles are distributed.
-        """
-        xor_buf = np.empty((pt, nwords, qt), dtype=np.uint64)
-        count_buf = np.empty((pt, nwords, qt), dtype=np.uint8)
-        va_widened = (
-            None if not widened else np.zeros((pt, nwords * 8), dtype=np.uint8)
-        )
-        tiles = 0
-        popcounted = 0
-        for i0 in row_starts:
-            i1 = min(i0 + pt, p)
-            rows = i1 - i0
-            if va_widened is None:
-                va_words = va[i0:i1].view("<u8")
+    xor_buf = np.empty((pt, nwords, qt), dtype=np.uint64)
+    count_buf = np.empty((pt, nwords, qt), dtype=np.uint8)
+    va_widened = None if not widened else np.zeros((pt, nwords * 8), dtype=np.uint8)
+    tiles = 0
+    popcounted = 0
+    for i0 in range(0, p, pt):
+        i1 = min(i0 + pt, p)
+        rows = i1 - i0
+        if va_widened is None:
+            va_words = va[i0:i1].view("<u8")
+        else:
+            va_widened[:rows, :nbytes] = va[i0:i1]
+            va_words = va_widened[:rows].view("<u8")
+        if mask is not None:
+            if m == p:
+                mrows = mask_words[i0:i1]
             else:
-                va_widened[:rows, :nbytes] = va[i0:i1]
-                va_words = va_widened[:rows].view("<u8")
+                mrows = mask_words[np.arange(i0, i1) % m]
+            valid = np.bitwise_count(mrows).sum(axis=1, dtype=np.int64)[:, None]
+            popcounted += mrows.nbytes
+        for j0 in range(0, q, qt):
+            j1 = min(j0 + qt, q)
+            cols = j1 - j0
+            buf = xor_buf[:rows, :, :cols]
+            np.bitwise_xor(va_words[:, :, None], vb_words_t[None, :, j0:j1], out=buf)
             if mask is not None:
-                if m == p:
-                    mrows = mask_words[i0:i1]
-                else:
-                    mrows = mask_words[np.arange(i0, i1) % m]
-                valid = np.bitwise_count(mrows).sum(axis=1, dtype=np.int64)[:, None]
-                popcounted += mrows.nbytes
-            for j0 in range(0, q, qt):
-                j1 = min(j0 + qt, q)
-                cols = j1 - j0
-                buf = xor_buf[:rows, :, :cols]
-                np.bitwise_xor(
-                    va_words[:, :, None], vb_words_t[None, :, j0:j1], out=buf
-                )
-                if mask is not None:
-                    np.bitwise_and(buf, mrows[:, :, None], out=buf)
-                counts = count_buf[:rows, :, :cols]
-                np.bitwise_count(buf, out=counts)
-                mismatches = counts.sum(axis=1, dtype=np.int64)
-                popcounted += buf.nbytes
-                tiles += 1
-                if mask is not None:
-                    out[i0:i1, j0:j1] = valid - 2 * mismatches
-                else:
-                    # Alignment/word padding bits are zero in both
-                    # planes, so they register as matches; the true
-                    # length discounts them:
-                    # matches - mismatches = length - 2·mismatches.
-                    out[i0:i1, j0:j1] = length - 2 * mismatches
-        return tiles, popcounted
+                np.bitwise_and(buf, mrows[:, :, None], out=buf)
+            counts = count_buf[:rows, :, :cols]
+            np.bitwise_count(buf, out=counts)
+            mismatches = counts.sum(axis=1, dtype=np.int64)
+            popcounted += buf.nbytes
+            tiles += 1
+            if mask is not None:
+                out[i0:i1, j0:j1] = valid - 2 * mismatches
+            else:
+                # Alignment/word padding bits are zero in both planes,
+                # so they register as matches; the true length discounts
+                # them: matches - mismatches = length - 2·mismatches.
+                out[i0:i1, j0:j1] = length - 2 * mismatches
 
-    tile_starts = list(range(0, p, pt))
-    n_used = max(1, min(threads, len(tile_starts)))
-    if n_used == 1:
-        results = [run_tiles(tile_starts)]
-    else:
-        # Balanced contiguous split of the row tiles — deterministic,
-        # and each chunk's tiles are exactly the serial schedule's.
-        chunks: list[list[int]] = []
-        start = 0
-        total = len(tile_starts)
-        for i in range(n_used):
-            size = total // n_used + (1 if i < total % n_used else 0)
-            chunks.append(tile_starts[start : start + size])
-            start += size
-        results = list(_executor(n_used).map(run_tiles, chunks))
-
-    tiles = sum(r[0] for r in results)
-    popcounted = sum(r[1] for r in results)
-    _record_dot_stats(
-        PackedDotStats(
-            peak_temp_bytes=overhead + n_used * per_worker,
-            tile_count=tiles,
-            bytes_popcounted=popcounted,
-            block_bytes=block,
-            output_shape=(p, q),
-            num_threads=n_used,
-            source="interpreter",
-        )
+    _THREAD_STATE.last = PackedDotStats(
+        peak_temp_bytes=overhead + scratch,
+        tile_count=tiles,
+        bytes_popcounted=popcounted,
+        block_bytes=block,
+        output_shape=(p, q),
     )
-    _REGISTRY.add_bytes(popcounted)
+    _THREAD_STATE.bytes_popcounted += popcounted
+    _BYTES_POPCOUNTED.add(popcounted)
     return out
 
 

@@ -72,10 +72,8 @@ class _GeometryCache:
     """Process-wide LRU geometry cache, safe for concurrent engines.
 
     Explicitly keyed by every parameter the artifacts depend on —
-    ``(c, h, w, kernel, stride, padding)``.  The cached masks are
-    independent of kernel-execution knobs (block size, ``num_threads``),
-    which key the per-configuration dot stats in
-    :mod:`repro.wasm.bitpack` instead.  LRU-bounded so long multi-tenant
+    ``(c, h, w, kernel, stride, padding)``; the cached masks do not
+    depend on the kernel's block size.  LRU-bounded so long multi-tenant
     runs sweeping many model geometries cannot grow it without bound.
 
     All access — lookup, stats increments, insertion, and the eviction
@@ -237,17 +235,9 @@ class WasmModel:
     them in linear memory.
     """
 
-    def __init__(self, parsed: ParsedModel, num_threads: int = 1) -> None:
-        num_threads = int(num_threads)
-        if num_threads < 1:
-            raise ValueError("num_threads must be at least 1")
+    def __init__(self, parsed: ParsedModel) -> None:
         self.input_shape = parsed.input_shape
         self.metadata = parsed.metadata
-        #: Intra-op threads for the XNOR-popcount kernels (mutable knob;
-        #: the compiled binary ops read it per call).  Results are
-        #: bit-identical for every value — see
-        #: :func:`repro.wasm.bitpack.packed_dot`.
-        self.num_threads = num_threads
         #: Retained layer specs: the trace-compiler in
         #: :mod:`repro.wasm.plan` re-reads them to build fused plans.
         self.parsed = parsed
@@ -268,8 +258,8 @@ class WasmModel:
         self._plan_cache_lock = threading.Lock()
 
     @classmethod
-    def load(cls, payload: bytes, num_threads: int = 1) -> "WasmModel":
-        return cls(parse_model(payload), num_threads=num_threads)
+    def load(cls, payload: bytes) -> "WasmModel":
+        return cls(parse_model(payload))
 
     # ------------------------------------------------------------------
     # Compilation
@@ -426,16 +416,10 @@ class WasmModel:
                     bits = bits.reshape(n * geom.rows, geom.row_len)
                     vbits = np.packbits(bits, axis=1)
                     # The geometry mask applies cyclically across samples.
-                    dots = packed_dot(
-                        vbits, packed_w, mask=geom.mbits,
-                        num_threads=self.num_threads,
-                    )
+                    dots = packed_dot(vbits, packed_w, mask=geom.mbits)
                 else:
                     vbits = np.packbits(bits, axis=1)
-                    dots = packed_dot(
-                        vbits, packed_w, length=bit_length,
-                        num_threads=self.num_threads,
-                    )
+                    dots = packed_dot(vbits, packed_w, length=bit_length)
                 out = dots * alpha_row * kfac[:, None]
                 if bias is not None:
                     out += bias
@@ -478,10 +462,7 @@ class WasmModel:
             def op(x: np.ndarray) -> np.ndarray:
                 beta = np.abs(x).mean(axis=1, keepdims=True)
                 vbits = np.packbits((x >= 0), axis=1)
-                dots = packed_dot(
-                    vbits, packed_w, length=bit_length,
-                    num_threads=self.num_threads,
-                )
+                dots = packed_dot(vbits, packed_w, length=bit_length)
                 out = dots * alpha_row * beta
                 if bias is not None:
                     out += bias

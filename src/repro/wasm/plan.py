@@ -735,8 +735,7 @@ class _PlanBuilder:
                 n, rows, oc, word_count, row_len,
             )
             bitpack.record_plan_popcount(
-                m * oc * word_count * 8 + m * mask_bytes_per_row,
-                output_shape=(m, oc),
+                m * oc * word_count * 8 + m * mask_bytes_per_row
             )
 
         runners.append(popdot)
@@ -817,9 +816,7 @@ class _PlanBuilder:
                 pwords, pww, None, None, palpha, pbeta, pbias, pout,
                 n, 1, oc, word_count, bit_length,
             )
-            bitpack.record_plan_popcount(
-                n * oc * word_count * 8, output_shape=(n, oc)
-            )
+            bitpack.record_plan_popcount(n * oc * word_count * 8)
 
         runners.append(popdot)
         if relu_mode == 1:

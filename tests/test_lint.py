@@ -77,9 +77,6 @@ _MUTABLE_FACTORIES = {
 #: stated reason: frozen after import (registries/preset tables) or
 #: mutated only under a module lock.
 _MUTABLE_GLOBAL_ALLOWLIST: dict[str, set[str]] = {
-    # Executor pool cache: guarded by _EXECUTORS_LOCK.
-    # _NUM_THREADS: atomic rebind of an int via set_num_threads.
-    "src/repro/wasm/bitpack.py": {"_EXECUTORS", "global _NUM_THREADS"},
     # Kernel ctypes signature table: frozen after import.
     # Backend singleton: double-checked init under _BACKEND_LOCK.
     "src/repro/wasm/plan_compile.py": {

@@ -134,18 +134,23 @@ class TestCountersScope:
     def test_scope_restores_facades_and_global_registry(self):
         from repro.observability import global_registry
         from repro.profiling import FaultCounters, counters_scope
+        from repro.wasm.bitpack import record_plan_popcount, total_bytes_popcounted
 
         counters = FaultCounters()
         counters.add("retries", 2)
         global_registry().counter("test.scope.probe").add(1)
+        popcounted = total_bytes_popcounted()
         with counters_scope():
             counters.add("retries", 100)
             counters.add("frames_dropped", 3)
             global_registry().counter("test.scope.probe").add(41)
+            record_plan_popcount(64)
             assert counters.retries == 102
+            assert total_bytes_popcounted() == popcounted + 64
         assert counters.retries == 2
         assert counters.frames_dropped == 0
         assert global_registry().counter("test.scope.probe").value == 1
+        assert global_registry().counter("wasm.bytes_popcounted").value == popcounted
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,11 @@
-"""Parallel edge execution: worker pool, c-worker scheduling, threaded kernels.
+"""Parallel edge execution: worker pool and c-worker scheduling.
 
-Three tiers.  The unit tier exercises :class:`WorkerPool` directly
-(deterministic partitioning, order-preserving map, busy accounting).
-The scheduler tier checks the simulated c-worker clock arithmetic
-against hand-computed makespans and the bit-identity guarantee — a
-multi-worker flush must produce exactly the answers of a serial one.
-The kernel tier checks that intra-op threading in the blocked
-XNOR-popcount path never changes a single bit of output.
+The unit tier exercises :class:`WorkerPool` directly (deterministic
+partitioning, order-preserving map, busy accounting).  The scheduler
+tier checks the simulated c-worker clock arithmetic against
+hand-computed makespans and the bit-identity guarantee — a multi-worker
+flush must produce exactly the answers of a serial one.  The
+integration tier runs trained sessions and the worker-scaling sweep.
 """
 
 import threading
@@ -14,9 +13,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro import nn
 from repro.experiments import WorkerScalingConfig, run_worker_scaling
-from repro.nn.autograd import Tensor, no_grad
 from repro.observability.metrics import Gauge
 from repro.runtime import (
     EdgeScheduler,
@@ -34,14 +31,6 @@ from repro.runtime.protocol import (
     SchedulerAck,
     decode_frame,
     encode_frame,
-)
-from repro.wasm import WasmModel, serialize_browser_bundle
-from repro.wasm.bitpack import (
-    get_num_threads,
-    last_dot_stats,
-    pack_signs,
-    packed_dot,
-    set_num_threads,
 )
 
 pytestmark = pytest.mark.par
@@ -255,107 +244,10 @@ class TestParallelScheduler:
 
 
 # ----------------------------------------------------------------------
-# Kernel tier: intra-op threading is bit-identical
-# ----------------------------------------------------------------------
-class TestThreadedPackedDot:
-    def setup_method(self):
-        rng = np.random.default_rng(5)
-        a = np.sign(rng.standard_normal((33, 200))) >= 0
-        b = np.sign(rng.standard_normal((17, 200))) >= 0
-        self.pa, self.la = pack_signs(a)
-        self.pb, _ = pack_signs(b)
-        #: Small enough that the row loop splits into many tiles (so the
-        #: thread split is real), large enough to hold one tile's scratch.
-        self.block = 2048
-
-    def test_thread_count_does_not_change_bits(self):
-        serial = packed_dot(self.pa, self.pb, length=self.la, block_bytes=self.block)
-        assert last_dot_stats().tile_count > 1  # the split is exercised
-        for threads in (2, 3, 8):
-            out = packed_dot(
-                self.pa, self.pb, length=self.la,
-                block_bytes=self.block, num_threads=threads,
-            )
-            np.testing.assert_array_equal(out, serial)
-
-    def test_masked_path_bit_identical(self):
-        rng = np.random.default_rng(6)
-        mask = rng.integers(0, 256, size=self.pa.shape, dtype=np.uint8)
-        serial = packed_dot(self.pa, self.pb, mask=mask, block_bytes=self.block)
-        threaded = packed_dot(
-            self.pa, self.pb, mask=mask, block_bytes=self.block, num_threads=3
-        )
-        np.testing.assert_array_equal(threaded, serial)
-
-    def test_stats_report_effective_threads(self):
-        packed_dot(
-            self.pa, self.pb, length=self.la,
-            block_bytes=self.block, num_threads=4,
-        )
-        assert last_dot_stats().num_threads == 4
-        packed_dot(self.pa, self.pb, length=self.la, block_bytes=self.block)
-        assert last_dot_stats().num_threads == 1
-
-    def test_single_tile_runs_serial_regardless_of_knob(self):
-        """One row-tile leaves nothing to split: the kernel stays serial."""
-        packed_dot(self.pa, self.pb, length=self.la, num_threads=8)
-        stats = last_dot_stats()
-        assert stats.tile_count == 1
-        assert stats.num_threads == 1
-
-    def test_global_knob_round_trips(self):
-        prev = set_num_threads(3)
-        try:
-            assert get_num_threads() == 3
-            out = packed_dot(self.pa, self.pb, length=self.la, block_bytes=self.block)
-            assert last_dot_stats().num_threads == 3
-        finally:
-            set_num_threads(prev)
-        assert get_num_threads() == prev
-        serial = packed_dot(self.pa, self.pb, length=self.la, block_bytes=self.block)
-        np.testing.assert_array_equal(out, serial)
-
-    def test_invalid_thread_counts_rejected(self):
-        with pytest.raises(ValueError):
-            packed_dot(self.pa, self.pb, length=self.la, num_threads=0)
-        with pytest.raises(ValueError):
-            set_num_threads(0)
-
-
-class TestThreadedEngine:
-    def test_binary_bundle_forward_bit_identical(self, rng):
-        """A serialized binary branch run with 1 vs 3 intra-op threads
-        produces byte-identical logits."""
-        bundle = nn.Sequential(
-            nn.BinaryConv2d(1, 8, kernel_size=3, padding=1),
-            nn.ReLU(),
-            nn.Flatten(),
-            nn.BinaryLinear(8 * 8 * 8, 10),
-        )
-        bundle.eval()
-        payload = serialize_browser_bundle(bundle, (1, 8, 8))
-        x = rng.standard_normal((4, 1, 8, 8)).astype(np.float32)
-        serial = WasmModel.load(payload, num_threads=1).forward(x)
-        threaded = WasmModel.load(payload, num_threads=3).forward(x)
-        assert serial.tobytes() == threaded.tobytes()
-
-    def test_invalid_num_threads_rejected(self):
-        bundle = nn.Sequential(nn.Flatten(), nn.BinaryLinear(4, 2))
-        bundle.eval()
-        payload = serialize_browser_bundle(bundle, (1, 2, 2))
-        with pytest.raises(ValueError, match="num_threads"):
-            WasmModel.load(payload, num_threads=0)
-
-
-# ----------------------------------------------------------------------
 # Integration tier: trained system, sessions, and the scaling sweep
 # ----------------------------------------------------------------------
 @pytest.mark.slow
 class TestWorkerScalingIntegration:
-    def test_session_config_validates_num_threads(self):
-        with pytest.raises(ValueError):
-            SessionConfig(num_threads=0)
-
     def test_scheduled_sessions_bit_identical_across_workers(self, trained_system, tiny_mnist):
         _, test = tiny_mnist
         images = test.images[:12]

@@ -25,6 +25,7 @@ from repro.wasm import (
     compile_trunk_plan,
     compile_wasm_plan,
     serialize_browser_bundle,
+    total_bytes_popcounted,
 )
 
 pytestmark = [
@@ -377,6 +378,36 @@ class TestPlanPlumbing:
         desc = plan.describe()
         assert desc["num_steps"] == len(plan.steps)
         assert desc["arena_bytes"] > 0
+
+    def test_popcount_bytes_attributed_to_binary_steps(self):
+        """Plan popdot steps account their bytes once: the per-step
+        counters (thread-tally deltas) sum to the process-wide total."""
+        rng = np.random.default_rng(3)
+        bundle = nn.Sequential(
+            BinaryConv2d(2, 4, 3, padding=1, rng=rng),
+            nn.MaxPool2d(2),
+            nn.Flatten(),
+            nn.Linear(4 * 5 * 5, 6, rng=rng),
+            BinaryLinear(6, 4, rng=rng),
+        )
+        plan = compile_wasm_plan(engine_for(bundle, (2, 10, 10)), 4)
+        binary = [
+            any(k.startswith("binary_") for k in step.kinds) for step in plan.steps
+        ]
+        assert any(binary) and not all(binary)
+        before = [step.counter.bytes_popcounted for step in plan.steps]
+        total_before = total_bytes_popcounted()
+        x = rng.standard_normal((3, 2, 10, 10)).astype(np.float32)
+        plan.execute(x)
+        deltas = [
+            step.counter.bytes_popcounted - b for step, b in zip(plan.steps, before)
+        ]
+        for step, is_binary, delta in zip(plan.steps, binary, deltas):
+            if is_binary:
+                assert delta > 0, step.name
+            else:
+                assert step.counter.bytes_popcounted == 0, step.name
+        assert total_bytes_popcounted() - total_before == sum(deltas)
 
     def test_step_spans_are_emitted(self):
         engine = self.make_engine()

@@ -8,8 +8,6 @@ from repro.runtime.protocol import (
     BatchInferenceResponse,
     EdgeProtocolServer,
     ErrorResponse,
-    InferenceRequest,
-    InferenceResponse,
     MessageType,
     ModelRequest,
     ModelResponse,
@@ -26,8 +24,8 @@ class TestFraming:
         features = rng.standard_normal((1, 2, 4, 4)).astype(np.float32)
         batch = rng.standard_normal((3, 2, 4, 4)).astype(np.float32)
         messages = [
-            InferenceRequest.from_features(7, 3, "fp32", features),
-            InferenceResponse(7, 3, class_id=2, confidence=0.93),
+            BatchInferenceRequest.from_features(7, [3], "fp32", features),
+            BatchInferenceResponse(7, (3,), class_ids=(2,), confidences=(0.93,)),
             BatchInferenceRequest.from_features(7, [0, 2, 5], "fp32", batch),
             BatchInferenceResponse(7, (0, 2, 5), (1, 4, 1), (0.9, 0.8, 0.7)),
             ModelRequest("lenet"),
@@ -39,10 +37,10 @@ class TestFraming:
             assert type(decoded) is type(message)
             assert decoded.type == message.type
 
-    def test_inference_request_carries_features(self):
+    def test_one_sample_request_carries_features(self):
         rng = np.random.default_rng(1)
         features = rng.standard_normal((1, 3, 5, 5)).astype(np.float32)
-        request = InferenceRequest.from_features(1, 0, "fp16", features)
+        request = BatchInferenceRequest.from_features(1, [0], "fp16", features)
         decoded = decode_frame(encode_frame(request))
         np.testing.assert_allclose(decoded.features(), features, atol=5e-3)
 
@@ -72,12 +70,6 @@ class TestFraming:
         frame[5] = 99
         with pytest.raises(ProtocolError):
             decode_frame(bytes(frame))
-
-    def test_inference_response_exact_size(self):
-        response = InferenceResponse(1, 2, 3, 0.5)
-        body = response.pack()
-        with pytest.raises(ProtocolError):
-            InferenceResponse.unpack(body + b"\x00")
 
 
 class TestBatchMessages:
@@ -132,25 +124,6 @@ class TestEdgeProtocolServer:
         endpoint = EdgeEndpoint(trained_system.model.main_trunk)
         return EdgeProtocolServer(endpoint, bundles={"lenet": b"BUNDLE"})
 
-    def test_inference_over_the_wire(self, server, trained_system, tiny_mnist):
-        from repro.nn.autograd import Tensor, no_grad
-
-        _, test = tiny_mnist
-        model = trained_system.model
-        model.eval()
-        with no_grad():
-            features = model.forward_features(Tensor(test.images[:1])).data
-
-        request = InferenceRequest.from_features(11, 0, "fp32", features)
-        response = decode_frame(server.handle(encode_frame(request)))
-        assert isinstance(response, InferenceResponse)
-        assert response.session_id == 11
-
-        with no_grad():
-            expected = model.main_trunk(Tensor(features)).data.argmax(axis=1)[0]
-        assert response.class_id == int(expected)
-        assert 0.0 <= response.confidence <= 1.0
-
     def test_quantized_request_agrees(self, server, trained_system, tiny_mnist):
         from repro.nn.autograd import Tensor, no_grad
 
@@ -160,12 +133,16 @@ class TestEdgeProtocolServer:
         with no_grad():
             features = model.forward_features(Tensor(test.images[:1])).data
         fp32 = decode_frame(
-            server.handle(encode_frame(InferenceRequest.from_features(1, 0, "fp32", features)))
+            server.handle(
+                encode_frame(BatchInferenceRequest.from_features(1, [0], "fp32", features))
+            )
         )
         int8 = decode_frame(
-            server.handle(encode_frame(InferenceRequest.from_features(1, 1, "int8", features)))
+            server.handle(
+                encode_frame(BatchInferenceRequest.from_features(1, [1], "int8", features))
+            )
         )
-        assert fp32.class_id == int8.class_id
+        assert fp32.class_ids == int8.class_ids
 
     def test_model_fetch(self, server):
         response = decode_frame(server.handle(encode_frame(ModelRequest("lenet"))))
@@ -182,50 +159,44 @@ class TestEdgeProtocolServer:
         assert isinstance(response, ErrorResponse)
         assert response.code == 400
 
-    def test_unknown_codec_422(self, server):
-        request = InferenceRequest(
-            session_id=1, sequence=0, codec="jpeg",
-            feature_shape=(1, 6, 14, 14), payload=b"\x00" * 10,
-        )
-        response = decode_frame(server.handle(encode_frame(request)))
-        assert isinstance(response, ErrorResponse)
-        assert response.code == 422
-
     def test_unservable_message_405(self, server):
         response = decode_frame(
-            server.handle(encode_frame(InferenceResponse(1, 2, 3, 0.4)))
+            server.handle(encode_frame(BatchInferenceResponse(1, (2,), (3,), (0.4,))))
         )
         assert isinstance(response, ErrorResponse)
         assert response.code == 405
 
-    def test_batch_inference_over_the_wire(self, server, trained_system, tiny_mnist):
-        """A batched request returns one answer per sequence id, each
-        equal to the trunk's argmax for that sample."""
+    @pytest.mark.parametrize("sequences", [(0,), (10, 11, 12, 13, 14)])
+    def test_batch_inference_over_the_wire(
+        self, server, trained_system, tiny_mnist, sequences
+    ):
+        """A batched request (one sample or several) returns one answer
+        per sequence id, each equal to the trunk's argmax for that
+        sample."""
         from repro.nn.autograd import Tensor, no_grad
 
         _, test = tiny_mnist
         model = trained_system.model
         model.eval()
         with no_grad():
-            features = model.forward_features(Tensor(test.images[:5])).data
+            features = model.forward_features(Tensor(test.images[: len(sequences)])).data
 
-        request = BatchInferenceRequest.from_features(
-            13, [10, 11, 12, 13, 14], "fp32", features
-        )
+        request = BatchInferenceRequest.from_features(13, sequences, "fp32", features)
         response = decode_frame(server.handle(encode_frame(request)))
         assert isinstance(response, BatchInferenceResponse)
         assert response.session_id == 13
-        assert response.sequences == (10, 11, 12, 13, 14)
+        assert response.sequences == sequences
 
         with no_grad():
             expected = model.main_trunk(Tensor(features)).data.argmax(axis=1)
         assert response.class_ids == tuple(int(c) for c in expected)
         assert all(0.0 <= c <= 1.0 for c in response.confidences)
 
-    def test_batch_unknown_codec_422(self, server):
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_batch_unknown_codec_422(self, server, n):
         request = BatchInferenceRequest(
-            session_id=1, sequences=(0, 1), codec="jpeg",
-            feature_shape=(2, 6, 14, 14), payload=b"\x00" * 10,
+            session_id=1, sequences=tuple(range(n)), codec="jpeg",
+            feature_shape=(n, 6, 14, 14), payload=b"\x00" * 10,
         )
         response = decode_frame(server.handle(encode_frame(request)))
         assert isinstance(response, ErrorResponse)
@@ -242,27 +213,19 @@ class TestEdgeProtocolServer:
         assert isinstance(response, ErrorResponse)
         assert response.code == 422
 
-    def test_endpoint_failure_500(self, server):
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_batch_endpoint_failure_500(self, server, n):
         """A decodable frame whose features blow up inside the endpoint
         must come back as a structured 500, not an unhandled exception
         (the old server let ``endpoint.infer`` errors propagate and tear
         down the exchange)."""
-        wrong_shape = np.zeros((1, 3, 5, 5), dtype=np.float32)
-        response = decode_frame(
-            server.handle(
-                encode_frame(InferenceRequest.from_features(1, 0, "fp32", wrong_shape))
-            )
-        )
-        assert isinstance(response, ErrorResponse)
-        assert response.code == 500
-        assert "inference failed" in response.message
-
-    def test_batch_endpoint_failure_500(self, server):
-        wrong_shape = np.zeros((2, 3, 5, 5), dtype=np.float32)
+        wrong_shape = np.zeros((n, 3, 5, 5), dtype=np.float32)
         response = decode_frame(
             server.handle(
                 encode_frame(
-                    BatchInferenceRequest.from_features(1, [0, 1], "fp32", wrong_shape)
+                    BatchInferenceRequest.from_features(
+                        1, list(range(n)), "fp32", wrong_shape
+                    )
                 )
             )
         )

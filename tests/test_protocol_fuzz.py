@@ -15,6 +15,9 @@ The contract under fuzz:
   rejected by arithmetic, not by attempting the allocation.
 """
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -24,8 +27,6 @@ from repro.runtime.protocol import (
     BatchInferenceResponse,
     EdgeProtocolServer,
     ErrorResponse,
-    InferenceRequest,
-    InferenceResponse,
     MessageType,
     ModelRequest,
     ModelResponse,
@@ -50,15 +51,6 @@ def exemplar_frames() -> dict[str, bytes]:
     """One well-formed encoded frame per message type (and per codec)."""
     feats = _features(2)
     return {
-        "inference_request_fp32": encode_frame(
-            InferenceRequest.from_features(1, 7, "fp32", feats[:1])
-        ),
-        "inference_request_int8": encode_frame(
-            InferenceRequest.from_features(1, 8, "int8", feats[:1])
-        ),
-        "inference_response": encode_frame(
-            InferenceResponse(session_id=1, sequence=7, class_id=3, confidence=0.9)
-        ),
         "batch_request_fp16": encode_frame(
             BatchInferenceRequest.from_features(2, (0, 1), "fp16", feats)
         ),
@@ -94,7 +86,7 @@ def _decode_or_protocol_error(frame: bytes):
         raise AssertionError(
             f"decode_frame leaked {type(exc).__name__}: {exc!r}"
         ) from exc
-    if isinstance(message, (InferenceRequest, BatchInferenceRequest)):
+    if isinstance(message, BatchInferenceRequest):
         try:
             features = message.features()
         except (ProtocolError, CodecError):
@@ -148,9 +140,11 @@ class TestDecoderHardening:
             with pytest.raises(ProtocolError):
                 decode_frame(frame)
 
-    def test_unknown_message_type(self):
+    # 1 and 2 were the retired single-sample request/response types.
+    @pytest.mark.parametrize("mtype", [0xEE, 1, 2])
+    def test_unknown_message_type(self, mtype):
         frame = bytearray(encode_frame(ModelRequest("x")))
-        frame[5] = 0xEE  # type byte
+        frame[5] = mtype  # type byte
         with pytest.raises(ProtocolError, match="unknown message type"):
             decode_frame(bytes(frame))
 
@@ -200,6 +194,37 @@ class TestDecoderHardening:
             decode_frame(encode_frame(lying)).features()
 
 
+def batch_frame_with_header(**fields) -> bytes:
+    """A well-framed batch request whose JSON header fields are replaced
+    by ``fields`` — the payload stays a valid one-sample fp32 stack."""
+    meta = {"session_id": 1, "sequences": [7], "codec": "fp32", "shape": [1, 3, 4, 4]}
+    meta.update(fields)
+    header = json.dumps(meta).encode("utf-8")
+    body = struct.pack("<I", len(header)) + header + _features(1).tobytes()
+    return (
+        struct.pack(
+            "<4sBBI", b"LCRP", 1, int(MessageType.BATCH_INFERENCE_REQUEST), len(body)
+        )
+        + body
+    )
+
+
+#: Header fields that decode as JSON but do not fit the wire: ids are
+#: echoed back packed as u64, and sequences/shape must be JSON lists.
+BAD_HEADER_FIELDS = {
+    "negative_session_id": {"session_id": -1},
+    "session_id_over_u64": {"session_id": 2**64},
+    "float_session_id": {"session_id": 1.5},
+    "negative_sequence": {"sequences": [-5]},
+    "sequence_over_u64": {"sequences": [2**64]},
+    "bool_sequence": {"sequences": [True]},
+    "sequences_as_string": {"sequences": "7"},
+    "shape_as_string": {"shape": "1"},
+    "shape_as_object": {"shape": {"1": 3}},
+    "negative_shape_dim": {"shape": [1, -3, -4, 4]},
+}
+
+
 class _StubEndpoint:
     def infer(self, features):
         flat = features.reshape(len(features), -1)
@@ -239,6 +264,20 @@ class TestServerNeverRaises:
                 frame[offset] = int(rng.integers(0, 256))
             reply = server.handle(bytes(frame))
             assert decode_frame(reply) is not None
+
+    def test_unmodified_header_is_served(self, server):
+        reply = decode_frame(server.handle(batch_frame_with_header()))
+        assert isinstance(reply, BatchInferenceResponse)
+        assert reply.sequences == (7,)
+
+    @pytest.mark.parametrize("name", sorted(BAD_HEADER_FIELDS))
+    def test_out_of_range_fields_get_400s(self, name, server):
+        frame = batch_frame_with_header(**BAD_HEADER_FIELDS[name])
+        with pytest.raises(ProtocolError):
+            decode_frame(frame)
+        reply = decode_frame(server.handle(frame))
+        assert isinstance(reply, ErrorResponse)
+        assert reply.code == 400
 
     def test_pure_noise_never_raises(self, server):
         rng = np.random.default_rng(SEED + 2)

@@ -9,6 +9,9 @@ simulated clock are checked exactly.  The integration tier runs real
 ``run_concurrency`` sweep against the trained fixture system.
 """
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -26,7 +29,7 @@ from repro.runtime.protocol import (
     BatchInferenceRequest,
     BatchInferenceResponse,
     ErrorResponse,
-    InferenceRequest,
+    ModelRequest,
     SchedulerAck,
     decode_frame,
     encode_frame,
@@ -70,6 +73,18 @@ def make_frame(session_id, seqs, classes=None):
     return encode_frame(
         BatchInferenceRequest.from_features(session_id, list(seqs), "fp32", features)
     )
+
+
+def with_header(frame, **fields):
+    """``frame`` re-framed with some JSON header fields of its batch
+    request replaced (the payload is kept as is)."""
+    body = frame[10:]  # after magic, version, type, length
+    (hlen,) = struct.unpack("<I", body[:4])
+    meta = json.loads(body[4 : 4 + hlen])
+    meta.update(fields)
+    header = json.dumps(meta).encode("utf-8")
+    body = struct.pack("<I", len(header)) + header + body[4 + hlen :]
+    return frame[:6] + struct.pack("<I", len(body)) + body
 
 
 def submit(scheduler, frame, arrival_ms=0.0):
@@ -128,14 +143,55 @@ class TestAdmission:
 
     def test_non_batch_message_is_405(self):
         scheduler = make_scheduler()
-        scalar = InferenceRequest.from_features(
-            1, 0, "fp32", np.zeros((2, 2), dtype=np.float32)
-        )
-        reply = decode_frame(scheduler.submit(encode_frame(scalar), 0.0))
+        reply = submit(scheduler, encode_frame(ModelRequest("lenet")))
         assert isinstance(reply, ErrorResponse)
         assert reply.code == 405
-        assert "InferenceRequest" in reply.message
+        assert "ModelRequest" in reply.message
         assert scheduler.counters.malformed_requests == 1
+
+    @pytest.mark.parametrize(
+        "fields", [{"session_id": -1}, {"sequences": [-5]}, {"sequences": "7"}]
+    )
+    def test_out_of_range_ids_are_400(self, fields):
+        """Ids that cannot be echoed back as u64 are refused at admission
+        and never reach the batch they would have shared."""
+        scheduler = make_scheduler()
+        good = submit(scheduler, make_frame(1, [0, 1]))
+        assert isinstance(good, SchedulerAck)
+        reply = submit(scheduler, with_header(make_frame(2, [3]), **fields))
+        assert isinstance(reply, ErrorResponse)
+        assert reply.code == 400
+        assert scheduler.counters.malformed_requests == 1
+        assert scheduler.flush() == [good.ticket]
+        answer = decode_frame(scheduler.collect(good.ticket)[0])
+        assert isinstance(answer, BatchInferenceResponse)
+        assert answer.class_ids == (0, 1)
+
+    @pytest.mark.parametrize(
+        "shape,payload",
+        [
+            ((1, 2, 2), b"\x00" * 10),  # 10 B where fp32 needs 16 B
+            ((1, 2**32, 2**32), b""),  # element count wraps to 0 in int64
+        ],
+        ids=["short-payload", "wrapping-shape"],
+    )
+    def test_bad_payload_is_422_and_spares_shared_batch(self, shape, payload):
+        """Features that do not decode are refused at admission, so the
+        tenant that would have shared their batch is still answered."""
+        scheduler = make_scheduler()
+        good = submit(scheduler, make_frame(1, [0, 1]))
+        bad = BatchInferenceRequest(
+            session_id=2, sequences=(0,), codec="fp32",
+            feature_shape=shape, payload=payload,
+        )
+        reply = submit(scheduler, encode_frame(bad))
+        assert isinstance(reply, ErrorResponse)
+        assert reply.code == 422
+        assert scheduler.counters.malformed_requests == 1
+        assert scheduler.queued_samples() == 2
+        assert scheduler.flush() == [good.ticket]
+        answer = decode_frame(scheduler.collect(good.ticket)[0])
+        assert answer.class_ids == (0, 1)
 
     def test_queue_capacity_sheds_503(self):
         scheduler = make_scheduler(queue_capacity=4)
