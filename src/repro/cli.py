@@ -883,10 +883,13 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 def _print_plan(name: str, plan, identical: bool) -> None:
     desc = plan.describe()
+    tier = " ".join(
+        f"{opt}={'on' if on else 'off'}" for opt, on in desc["kernel_options"].items()
+    )
     print(
         f"\n{name}: {desc['num_steps']} fused steps, capacity {desc['capacity']}, "
         f"arena {desc['arena_bytes'] / 1e6:.2f}MB, "
-        f"bit_identical={identical}"
+        f"bit_identical={identical}, kernels: {tier}"
     )
     for step in desc["steps"]:
         wall = step.get("wall_ms", 0.0)

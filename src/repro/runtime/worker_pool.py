@@ -9,8 +9,6 @@ guarantees the scheduler's determinism story needs:
 * **Order preservation** — ``map(fn, items)`` returns results in item
   order regardless of which worker finished first, so reply routing
   never depends on thread timing.
-* **Deterministic partitioning** — :meth:`partition` splits ``n`` items
-  into balanced *contiguous* ranges, the same split every call.
 * **Busy accounting** — the pool tracks how many workers are executing
   at each instant and publishes the current/high-water counts to an
   optional :class:`~repro.observability.metrics.Gauge`, which is where
@@ -45,29 +43,6 @@ class WorkerPool:
         #: High-water mark of concurrently executing workers (lifetime).
         self.max_busy = 0
         self._executor: Optional[ThreadPoolExecutor] = None
-
-    # -- deterministic chunking ----------------------------------------
-    @staticmethod
-    def partition(n: int, parts: int) -> list[tuple[int, int]]:
-        """Split ``range(n)`` into ≤ ``parts`` balanced contiguous ranges.
-
-        Sizes differ by at most one and earlier ranges get the larger
-        share, so the split is a pure function of ``(n, parts)`` —
-        callers can rely on identical chunk boundaries run after run.
-        Empty ranges are never returned.
-        """
-        if n < 0:
-            raise ValueError("n must be non-negative")
-        if parts < 1:
-            raise ValueError("parts must be at least 1")
-        parts = min(parts, n)
-        ranges: list[tuple[int, int]] = []
-        start = 0
-        for i in range(parts):
-            size = n // parts + (1 if i < n % parts else 0)
-            ranges.append((start, start + size))
-            start += size
-        return ranges
 
     # -- busy accounting -----------------------------------------------
     def _enter(self) -> None:

@@ -148,8 +148,13 @@ class CompiledPlan:
         arena: Arena,
         input_buf: np.ndarray,
         output_buf: np.ndarray,
+        kernel_options: dict,
     ) -> None:
         self.flavor = flavor
+        #: The kernel tier this plan was built on, e.g. ``{"direct_conv":
+        #: True, "c_mean": True}``; ``_compile_verified`` returns the first
+        #: tier that passes the probe, so a step down shows up here.
+        self.kernel_options = dict(kernel_options)
         self.capacity = int(capacity)
         self.input_shape = tuple(input_shape)
         self.output_shape = tuple(output_shape)
@@ -226,6 +231,7 @@ class CompiledPlan:
             "input_shape": list(self.input_shape),
             "output_shape": list(self.output_shape),
             "num_steps": self.num_steps,
+            "kernel_options": dict(self.kernel_options),
             "arena_bytes": self.arena.total_bytes,
             "steps": [
                 {
@@ -303,8 +309,8 @@ class _PlanBuilder:
         self.capacity = capacity
         self.flavor = flavor
         #: Fold the kfac |window| mean into the C gather (replicating
-        #: NumPy's small-axis pairwise sum).  compile_wasm_plan retries
-        #: with False if probe verification ever disagrees.
+        #: NumPy's pairwise sum).  compile_wasm_plan retries with False if
+        #: probe verification ever disagrees.
         self.c_mean = bool(c_mean)
         #: Use the fused direct-conv kernel (sequential-K fmaf, the
         #: reduction BLAS sgemm applies at narrow output widths) instead
@@ -363,6 +369,7 @@ class _PlanBuilder:
             arena=self.arena,
             input_buf=input_buf,
             output_buf=self.buf,
+            kernel_options={"direct_conv": self.direct_conv, "c_mean": self.c_mean},
         )
 
     # -- appendable micro-kernels --------------------------------------
@@ -681,14 +688,17 @@ class _PlanBuilder:
             mwords = None
             valid = None
             wmasked = None
-        # With a small window (row_len <= 128) the |v| row fits the C
-        # kernel's stack buffer and the kfac mean folds into the gather —
-        # no abscols arena buffer, no separate NumPy pass.
-        use_c_mean = self.c_mean and row_len <= 128
-        if use_c_mean:
+        # The kfac mean folds into the gather at every window width: the
+        # C kernel stages |v| in an 8-window scratch block sized here and
+        # replicates NumPy's pairwise sum, so there is no abscols buffer
+        # and no separate NumPy pass.  Only the c_mean=False fallback tier
+        # streams the |v| rows through np.mean.
+        if self.c_mean:
             abscols = None
+            scratch = self.arena.new("prep_scratch", (8 * row_len,))
         else:
             abscols = self.arena.new("abscols", (self.capacity * rows, row_len))
+            scratch = None
         words = self.arena.new("bits", (self.capacity * rows, word_count), dtype=np.uint64)
         kfac = self.arena.new("kfac", (self.capacity * rows,))
         out = self.arena.new("act", (self.capacity, oc, geom.out_height, geom.out_width))
@@ -698,6 +708,7 @@ class _PlanBuilder:
         # masks/counts from the *original* geometry still apply unchanged.
         psrc, hp, wp = self._emit_padded_source(runners, c, h, w, geom.padding)
         pabs, pwords, pkfac = self._ptr(abscols), self._ptr(words), self._ptr(kfac)
+        pscratch = self._ptr(scratch)
         pmw, pvalid = self._ptr(mwords), self._ptr(valid)
         pww = self._ptr(wwords) if wmasked is None else None
         pwm = self._ptr(wmasked)
@@ -712,15 +723,15 @@ class _PlanBuilder:
         else:
             runners_relu = None
 
-        pkf_prep = pkfac if use_c_mean else None
+        pkf_prep = pkfac if self.c_mean else None
         runners.append(
             lambda n, _keep=(mwords,): K.binconv_prepare(
-                psrc, pabs, pkf_prep, pwords, pmw,
+                psrc, pabs, pkf_prep, pscratch, pwords, pmw,
                 n, c, hp, wp, k, s, 0, oh, ow, word_count,
             )
         )
 
-        if not use_c_mean:
+        if not self.c_mean:
 
             def kfac_mean(n, abscols=abscols, kfac=kfac, rows=rows):
                 m = n * rows
@@ -849,10 +860,11 @@ def _compile_verified(
     Two fused kernels replicate library numerics exactly-by-construction
     rather than by spec: the direct conv's sequential-K FMA loop mirrors
     the BLAS GEMM microkernel for skinny shapes, and the in-C kfac mean
-    mirrors NumPy's small-axis pairwise sum.  If a BLAS/NumPy upgrade
-    ever changes either, the probe catches it and the next tier swaps
-    the offending fusion back to the library call — the plan survives,
-    slightly slower, instead of being lost.
+    mirrors NumPy's pairwise sum.  If a BLAS/NumPy upgrade ever changes
+    either, the probe catches it and the next tier swaps the offending
+    fusion back to the library call — the plan survives, slightly
+    slower, instead of being lost.  The accepted tier is recorded as
+    ``plan.kernel_options``.
     """
     last: Optional[PlanVerificationError] = None
     for options in (

@@ -716,20 +716,24 @@ API void relu_inplace(float *x, long size, int mode)
     }
 }
 
-/* NumPy's pairwise float32 sum for a contiguous axis of length <= 128:
-   eight independent scalar accumulators seeded from the first block,
-   combined as ((r0+r1)+(r2+r3)) + ((r4+r5)+(r6+r7)), sequential tail.
-   Used to fold the kfac |window| mean into the gather below; every plan
-   is probe-verified against the interpreter, so if a NumPy upgrade ever
-   changes this reduction the plan compiler falls back to streaming the
-   |value| rows through np.mean instead (see plan.py). */
-static inline float pairwise_mean_small(const float *a, long n)
+/* NumPy's float32 pairwise sum (the reduction np.mean applies along a
+   contiguous axis): fewer than 8 values add sequentially; up to 128 use
+   eight accumulators seeded from the first block, combined as
+   ((r0+r1)+(r2+r3)) + ((r4+r5)+(r6+r7)), with a sequential tail; longer
+   runs split at n/2 rounded down to a multiple of 8 and recurse on both
+   halves.  Used to fold the kfac |window| mean into the gather below at
+   any window width; every plan is probe-verified against the
+   interpreter, so if a NumPy upgrade ever changes this reduction the
+   plan compiler falls back to streaming the |value| rows through
+   np.mean instead (see plan.py). */
+static float pairwise_sum(const float *a, long n)
 {
-    float res;
     if (n < 8) {
-        res = 0.0f;
+        float res = 0.0f;
         for (long i = 0; i < n; i++) res += a[i];
-    } else {
+        return res;
+    }
+    if (n <= 128) {
         float r0 = a[0], r1 = a[1], r2 = a[2], r3 = a[3];
         float r4 = a[4], r5 = a[5], r6 = a[6], r7 = a[7];
         long i = 8;
@@ -739,24 +743,27 @@ static inline float pairwise_mean_small(const float *a, long n)
             r4 += a[i + 4]; r5 += a[i + 5];
             r6 += a[i + 6]; r7 += a[i + 7];
         }
-        res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7));
+        float res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7));
         for (; i < n; i++) res += a[i];
+        return res;
     }
-    return res / (float)n;
+    long n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
 }
 
-/* Fused window gather for binary convs: writes |value| rows (for the
-   NumPy kfac mean, bitwise-identical to np.abs) and packs the sign bit
-   (v >= 0, matching the interpreter's cols >= 0; padded zeros pack as 1)
-   into zeroed u64 words.  When maskw is given (padding present), the
-   per-row validity mask is pre-applied to the activation words, so the
-   popcount loop can use premasked weights: (a&m)^(b&m) == (a^b)&m.
-
-   abscols may be NULL when kfac is given and row_len <= 128: the |v|
-   row then lives in a stack buffer and the per-row mean is computed
-   in-place, eliminating the abscols memory traffic entirely. */
+/* Fused window gather for binary convs: packs the sign bit (v >= 0,
+   matching the interpreter's cols >= 0; padded zeros pack as 1) into
+   u64 words and either writes the |value| rows to abscols (for the
+   NumPy kfac mean, bitwise-identical to np.abs) or, when abscols is
+   NULL and kfac is given, stages each |value| row in rowbuf (row_len
+   floats, sized by the plan compiler) and writes its pairwise mean to
+   kfac directly, so no abscols memory traffic exists at all.  When
+   maskw is given (padding present), the per-row validity mask is
+   pre-applied to the activation words, so the popcount loop can use
+   premasked weights: (a&m)^(b&m) == (a^b)&m. */
 static inline void binconv_prepare_impl(const float *x, float *abscols,
-                                        float *kfac,
+                                        float *kfac, float *rowbuf,
                                         uint64_t *words, const uint64_t *maskw,
                                         long n, long c, long h, long w,
                                         long k, long stride, long pad,
@@ -764,13 +771,12 @@ static inline void binconv_prepare_impl(const float *x, float *abscols,
 {
     long row_len = c * k * k;
     long rows = oh * ow;
-    float stackrow[128];
     for (long i = 0; i < n; i++) {
         const float *xi = x + i * c * h * w;
         for (long oy = 0; oy < oh; oy++) {
             for (long ox = 0; ox < ow; ox++) {
                 long r = i * rows + oy * ow + ox;
-                float *arow = abscols ? abscols + r * row_len : stackrow;
+                float *arow = abscols ? abscols + r * row_len : rowbuf;
                 uint64_t *wrow = words + r * W;
                 long ix0 = ox * stride - pad;
                 long kj_lo = ix0 < 0 ? -ix0 : 0;
@@ -829,34 +835,77 @@ static inline void binconv_prepare_impl(const float *x, float *abscols,
                     const uint64_t *mk = maskw + (oy * ow + ox) * W;
                     for (long wi = 0; wi < W; wi++) wrow[wi] &= mk[wi];
                 }
-                if (kfac) kfac[r] = pairwise_mean_small(arow, row_len);
+                if (kfac)
+                    kfac[r] = pairwise_sum(arow, row_len) / (float)row_len;
             }
         }
     }
 }
 
 #if defined(HAVE_X86) && (defined(__GNUC__) || defined(__clang__))
-/* ox-vectorized prepare for the pre-padded stride-1 fused-mean case:
-   eight output windows per iteration.  Window values are staged into a
-   [row_len][8] buffer; movemask of the lanewise v >= 0 compare yields
-   one sign bit per *row*, and an 8x8 bit-matrix transpose (with bytes
-   assembled MSB-first) emits each row's packed byte directly in
-   np.packbits order.  The kfac mean replays pairwise_mean_small's
-   8-accumulator scheme lanewise — IEEE lanewise add/div make every
-   lane bit-identical to the scalar reduction. */
+/* pairwise_sum over eight windows at once: v is a [n][8] staging block
+   of raw window values, and lane l sums |v[j][l]| along j with exactly
+   the scalar recursion (same splits, same accumulator seeding and
+   combine order).  IEEE lanewise adds make every lane bit-identical to
+   pairwise_sum on that window's |value| row. */
 __attribute__((target("avx2"))) static
-void binconv_prepare_avx2(const float *x, float *kfac,
+__m256 pairwise_sum_lanes(const float *v, long n)
+{
+    const __m256 absm = _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
+#define ABS_ROW(j) _mm256_and_ps(absm, _mm256_loadu_ps(v + (j) * 8))
+    if (n < 8) {
+        __m256 res = _mm256_setzero_ps();
+        for (long i = 0; i < n; i++) res = _mm256_add_ps(res, ABS_ROW(i));
+        return res;
+    }
+    if (n <= 128) {
+        __m256 r0 = ABS_ROW(0), r1 = ABS_ROW(1), r2 = ABS_ROW(2);
+        __m256 r3 = ABS_ROW(3), r4 = ABS_ROW(4), r5 = ABS_ROW(5);
+        __m256 r6 = ABS_ROW(6), r7 = ABS_ROW(7);
+        long i = 8;
+        for (; i + 8 <= n; i += 8) {
+            r0 = _mm256_add_ps(r0, ABS_ROW(i));
+            r1 = _mm256_add_ps(r1, ABS_ROW(i + 1));
+            r2 = _mm256_add_ps(r2, ABS_ROW(i + 2));
+            r3 = _mm256_add_ps(r3, ABS_ROW(i + 3));
+            r4 = _mm256_add_ps(r4, ABS_ROW(i + 4));
+            r5 = _mm256_add_ps(r5, ABS_ROW(i + 5));
+            r6 = _mm256_add_ps(r6, ABS_ROW(i + 6));
+            r7 = _mm256_add_ps(r7, ABS_ROW(i + 7));
+        }
+        __m256 res = _mm256_add_ps(
+            _mm256_add_ps(_mm256_add_ps(r0, r1), _mm256_add_ps(r2, r3)),
+            _mm256_add_ps(_mm256_add_ps(r4, r5), _mm256_add_ps(r6, r7)));
+        for (; i < n; i++) res = _mm256_add_ps(res, ABS_ROW(i));
+        return res;
+    }
+#undef ABS_ROW
+    long n2 = n / 2;
+    n2 -= n2 % 8;
+    return _mm256_add_ps(pairwise_sum_lanes(v, n2),
+                         pairwise_sum_lanes(v + n2 * 8, n - n2));
+}
+
+/* ox-vectorized prepare for the pre-padded stride-1 fused-mean case:
+   eight output windows per iteration, at any window width.  Window
+   values are staged into vbuf, a [row_len][8] block sized by the plan
+   compiler (8 * row_len floats); movemask of the lanewise v >= 0
+   compare yields one sign bit per *row*, and an 8x8 bit-matrix
+   transpose (with bytes assembled MSB-first) emits each row's packed
+   byte directly in np.packbits order.  Each output word is assembled
+   in registers for the eight rows and stored once, masked when
+   padding is present.  The kfac mean is pairwise_sum_lanes over the
+   same block. */
+__attribute__((target("avx2"))) static
+void binconv_prepare_avx2(const float *x, float *kfac, float *vbuf,
                           uint64_t *words, const uint64_t *maskw,
                           long n, long c, long h, long w,
                           long k, long oh, long ow, long W)
 {
     long row_len = c * k * k;
     long rows = oh * ow;
-    long nb = row_len >= 8 ? ((row_len - 8) >> 3) + 1 : 0;
     __m256 zero = _mm256_setzero_ps();
-    __m256 absm = _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
     __m256 divn = _mm256_set1_ps((float)row_len);
-    float vbuf[128 * 8];
     float tmp8[8];
     for (long i = 0; i < n; i++) {
         const float *base = x + i * c * h * w;
@@ -880,60 +929,39 @@ void binconv_prepare_avx2(const float *x, float *kfac,
                         }
                     }
                 }
-                /* packed sign bits, eight rows per transpose */
-                uint64_t wl[8][2] = {{0}};
-                for (long j0 = 0; j0 < row_len; j0 += 8) {
-                    long tmax = row_len - j0 < 8 ? row_len - j0 : 8;
-                    uint64_t B = 0;
-                    for (long t = 0; t < tmax; t++) {
-                        int msk = _mm256_movemask_ps(_mm256_cmp_ps(
-                            _mm256_loadu_ps(vbuf + (j0 + t) * 8),
-                            zero, _CMP_GE_OQ));
-                        B |= (uint64_t)(uint8_t)msk << (8 * (7 - t));
+                long rbase = i * rows + oy * ow + ox;
+                /* packed sign bits: one word at a time for all eight
+                   rows, eight positions per transpose */
+                for (long wi = 0; wi < W; wi++) {
+                    uint64_t wl[8] = {0};
+                    long jend = row_len < (wi + 1) * 64 ? row_len : (wi + 1) * 64;
+                    for (long j0 = wi * 64; j0 < jend; j0 += 8) {
+                        long tmax = jend - j0 < 8 ? jend - j0 : 8;
+                        uint64_t B = 0;
+                        for (long t = 0; t < tmax; t++) {
+                            int msk = _mm256_movemask_ps(_mm256_cmp_ps(
+                                _mm256_loadu_ps(vbuf + (j0 + t) * 8),
+                                zero, _CMP_GE_OQ));
+                            B |= (uint64_t)(uint8_t)msk << (8 * (7 - t));
+                        }
+                        uint64_t T = transpose8(B);
+                        long sh = 8 * ((j0 >> 3) & 7);
+                        for (long l = 0; l < 8; l++)
+                            wl[l] |= ((T >> (8 * l)) & 0xFF) << sh;
                     }
-                    uint64_t T = transpose8(B);
-                    long wi = j0 >> 6;
-                    long sh = 8 * ((j0 >> 3) & 7);
-                    for (long l = 0; l < 8; l++)
-                        wl[l][wi] |= ((T >> (8 * l)) & 0xFF) << sh;
+                    for (long l = 0; l < nl; l++) {
+                        uint64_t v = wl[l];
+                        if (maskw) v &= maskw[(oy * ow + ox + l) * W + wi];
+                        words[(rbase + l) * W + wi] = v;
+                    }
                 }
                 /* numpy pairwise |v| mean, lanewise */
-                __m256 a0 = zero, a1 = zero, a2 = zero, a3 = zero;
-                __m256 a4 = zero, a5 = zero, a6 = zero, a7 = zero;
-                for (long b = 0; b < nb; b++) {
-                    const float *vb = vbuf + b * 64;
-                    a0 = _mm256_add_ps(a0, _mm256_and_ps(absm, _mm256_loadu_ps(vb)));
-                    a1 = _mm256_add_ps(a1, _mm256_and_ps(absm, _mm256_loadu_ps(vb + 8)));
-                    a2 = _mm256_add_ps(a2, _mm256_and_ps(absm, _mm256_loadu_ps(vb + 16)));
-                    a3 = _mm256_add_ps(a3, _mm256_and_ps(absm, _mm256_loadu_ps(vb + 24)));
-                    a4 = _mm256_add_ps(a4, _mm256_and_ps(absm, _mm256_loadu_ps(vb + 32)));
-                    a5 = _mm256_add_ps(a5, _mm256_and_ps(absm, _mm256_loadu_ps(vb + 40)));
-                    a6 = _mm256_add_ps(a6, _mm256_and_ps(absm, _mm256_loadu_ps(vb + 48)));
-                    a7 = _mm256_add_ps(a7, _mm256_and_ps(absm, _mm256_loadu_ps(vb + 56)));
-                }
-                __m256 res = _mm256_add_ps(
-                    _mm256_add_ps(_mm256_add_ps(a0, a1), _mm256_add_ps(a2, a3)),
-                    _mm256_add_ps(_mm256_add_ps(a4, a5), _mm256_add_ps(a6, a7)));
-                for (long jt = nb * 8; jt < row_len; jt++)
-                    res = _mm256_add_ps(res, _mm256_and_ps(
-                        absm, _mm256_loadu_ps(vbuf + jt * 8)));
-                res = _mm256_div_ps(res, divn);
-                long rbase = i * rows + oy * ow + ox;
+                __m256 res = _mm256_div_ps(pairwise_sum_lanes(vbuf, row_len), divn);
                 if (nl == 8) {
                     _mm256_storeu_ps(kfac + rbase, res);
                 } else {
                     _mm256_storeu_ps(tmp8, res);
                     for (long l = 0; l < nl; l++) kfac[rbase + l] = tmp8[l];
-                }
-                for (long l = 0; l < nl; l++) {
-                    uint64_t *wr = words + (rbase + l) * W;
-                    if (maskw) {
-                        const uint64_t *mk = maskw + (oy * ow + ox + l) * W;
-                        for (long wi = 0; wi < W; wi++)
-                            wr[wi] = wl[l][wi] & mk[wi];
-                    } else {
-                        for (long wi = 0; wi < W; wi++) wr[wi] = wl[l][wi];
-                    }
                 }
             }
         }
@@ -941,7 +969,12 @@ void binconv_prepare_avx2(const float *x, float *kfac,
 }
 #endif /* HAVE_X86 */
 
+/* scratch: 8 * c*k*k floats owned by the caller's plan arena, used
+   only on the fused-mean path (kfac given, abscols NULL) — the scalar
+   gather stages one |value| row in it, the AVX2 gather an [row_len][8]
+   block.  Its size depends on the model, so it is never a stack array. */
 API void binconv_prepare(const float *x, float *abscols, float *kfac,
+                         float *scratch,
                          uint64_t *words, const uint64_t *maskw,
                          long n, long c, long h, long w,
                          long k, long stride, long pad,
@@ -949,22 +982,23 @@ API void binconv_prepare(const float *x, float *abscols, float *kfac,
 {
 #if defined(HAVE_X86) && (defined(__GNUC__) || defined(__clang__))
     if (stride == 1 && pad == 0 && kfac && !abscols &&
-        c * k * k <= 128 && ow >= 8 && __builtin_cpu_supports("avx2")) {
-        binconv_prepare_avx2(x, kfac, words, maskw, n, c, h, w, k, oh, ow, W);
+        ow >= 8 && __builtin_cpu_supports("avx2")) {
+        binconv_prepare_avx2(x, kfac, scratch, words, maskw,
+                             n, c, h, w, k, oh, ow, W);
         return;
     }
 #endif
     switch (k) {
     case 3:
-        binconv_prepare_impl(x, abscols, kfac, words, maskw,
+        binconv_prepare_impl(x, abscols, kfac, scratch, words, maskw,
                              n, c, h, w, 3, stride, pad, oh, ow, W);
         break;
     case 5:
-        binconv_prepare_impl(x, abscols, kfac, words, maskw,
+        binconv_prepare_impl(x, abscols, kfac, scratch, words, maskw,
                              n, c, h, w, 5, stride, pad, oh, ow, W);
         break;
     default:
-        binconv_prepare_impl(x, abscols, kfac, words, maskw,
+        binconv_prepare_impl(x, abscols, kfac, scratch, words, maskw,
                              n, c, h, w, k, stride, pad, oh, ow, W);
         break;
     }
@@ -1353,7 +1387,7 @@ _SIGNATURES = {
     "affine_ch": [_VOIDP, _VOIDP, _VOIDP, _VOIDP, _LONG, _LONG, _LONG],
     "bn_eval_ch": [_VOIDP] * 6 + [_LONG] * 3,
     "relu_inplace": [_VOIDP, _LONG, _INT],
-    "binconv_prepare": [_VOIDP, _VOIDP, _VOIDP, _VOIDP, _VOIDP] + [_LONG] * 10,
+    "binconv_prepare": [_VOIDP] * 6 + [_LONG] * 10,
     "pack_rows": [_VOIDP, _VOIDP, _LONG, _LONG, _LONG],
     "popdot_scale": [_VOIDP] * 8 + [_LONG] * 5,  # n, rows, oc, W, fallback_valid
 }

@@ -8,10 +8,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core import LCRS, JointTrainingConfig
 from repro.data import ArrayDataset, make_dataset
 from repro.profiling import counters_scope
+
+# One Hypothesis budget for every property module, whichever files are
+# collected.  A module that needs a different budget sets it with
+# ``@settings`` on its own tests.
+settings.register_profile("repro", max_examples=50, deadline=None)
+settings.load_profile("repro")
 
 
 @pytest.fixture(autouse=True)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.core import save_system
-from repro.wasm import parse_model
+from repro.wasm import backend_available, parse_model
 
 
 @pytest.fixture
@@ -245,6 +245,23 @@ class TestTauCommand:
         assert "static_shed_rate" in record["headline"]
         for point in record["points"]:
             assert len(point["tau_trajectory"]) == point["rounds"]
+
+
+@pytest.mark.plan
+@pytest.mark.skipif(not backend_available(), reason="C kernel backend unavailable")
+class TestPlanCommand:
+    def test_plan_reports_kernel_tier(self, checkpoint, tmp_path, capsys):
+        output = tmp_path / "plan.json"
+        code = main(["plan", str(checkpoint), "--batch", "4", "--json", str(output)])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "kernels: direct_conv=on c_mean=on" in out
+        import json
+
+        record = json.loads(output.read_text())
+        assert record["binary_branch"]["kernel_options"] == {
+            "direct_conv": True, "c_mean": True,
+        }
 
 
 class TestTraceCommand:

@@ -16,7 +16,7 @@ carry ±inf/NaN) and a faithful round trip for the float codecs.
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.runtime import (
@@ -28,10 +28,6 @@ from repro.runtime import (
     UnknownCodecError,
     get_codec,
 )
-
-# Keep hypothesis fast and deterministic for CI-style runs.
-settings.register_profile("repro", max_examples=25, deadline=None)
-settings.load_profile("repro")
 
 
 #: Shapes the miss path actually ships (batch, C, H, W) plus degenerate

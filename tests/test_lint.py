@@ -1,6 +1,6 @@
 """Repo lint gates (source-text checks, no runtime behaviour).
 
-Two rules.  Wall-clock reads go through
+Three rules.  Wall-clock reads go through
 :mod:`repro.observability.clock` — direct ``time.time()`` /
 ``time.perf_counter()`` / ``time.monotonic()`` calls outside
 ``observability/`` would reintroduce the simulated-ms / wall-ms
@@ -11,13 +11,17 @@ excising exactly that class of state (the no-grad flag, the geometry
 cache dict, the popcount totals), and any new unsynchronized module
 global would silently reintroduce cross-thread races.  The audited
 survivors — import-time-frozen registries and lock-guarded caches —
-are allowlisted by file and name.
+are allowlisted by file and name.  And the C kernel source that the
+plan compiler builds at runtime compiles warning-clean, with variable
+length arrays banned: scratch whose size depends on the model belongs
+in the plan arena, not on the C stack.
 """
 
 from __future__ import annotations
 
 import ast
 import re
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -157,3 +161,22 @@ def test_mutable_global_allowlist_is_tight():
         live = {name for _, name in _mutable_global_bindings(ast.parse(path.read_text()))}
         stale = names - live
         assert not stale, f"stale allowlist entries for {rel}: {sorted(stale)}"
+
+
+# ----------------------------------------------------------------------
+# The runtime-built C kernel source
+# ----------------------------------------------------------------------
+def test_kernel_source_compiles_warning_clean(tmp_path):
+    from repro.wasm import plan_compile
+
+    cc = plan_compile._find_compiler()
+    if cc is None:
+        pytest.skip("no C compiler (cc/gcc/clang) on PATH")
+    src = tmp_path / "plan_kernels.c"
+    src.write_text(plan_compile._C_SOURCE)
+    cmd = [
+        cc, *plan_compile._CFLAGS, "-Wall", "-Wextra", "-Wvla", "-Werror",
+        str(src), "-lm", "-o", str(tmp_path / "plan_kernels.so"),
+    ]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -1,11 +1,11 @@
 """Parallel edge execution: worker pool and c-worker scheduling.
 
-The unit tier exercises :class:`WorkerPool` directly (deterministic
-partitioning, order-preserving map, busy accounting).  The scheduler
-tier checks the simulated c-worker clock arithmetic against
-hand-computed makespans and the bit-identity guarantee — a multi-worker
-flush must produce exactly the answers of a serial one.  The
-integration tier runs trained sessions and the worker-scaling sweep.
+The unit tier exercises :class:`WorkerPool` directly (order-preserving
+map, busy accounting).  The scheduler tier checks the simulated
+c-worker clock arithmetic against hand-computed makespans and the
+bit-identity guarantee — a multi-worker flush must produce exactly the
+answers of a serial one.  The integration tier runs trained sessions
+and the worker-scaling sweep.
 """
 
 import threading
@@ -74,36 +74,6 @@ def make_frame(session_id, seqs, classes=None):
 # ----------------------------------------------------------------------
 # WorkerPool unit tier
 # ----------------------------------------------------------------------
-class TestPartition:
-    @pytest.mark.parametrize("n", [0, 1, 2, 5, 7, 16, 100])
-    @pytest.mark.parametrize("parts", [1, 2, 3, 4, 16])
-    def test_covers_range_contiguously(self, n, parts):
-        ranges = WorkerPool.partition(n, parts)
-        cursor = 0
-        for start, end in ranges:
-            assert start == cursor
-            assert end > start  # never empty
-            cursor = end
-        assert cursor == n or (n == 0 and not ranges)
-
-    def test_balanced_and_front_loaded(self):
-        sizes = [e - s for s, e in WorkerPool.partition(10, 4)]
-        assert sizes == [3, 3, 2, 2]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_never_more_parts_than_items(self):
-        assert len(WorkerPool.partition(2, 8)) == 2
-
-    def test_deterministic(self):
-        assert WorkerPool.partition(17, 4) == WorkerPool.partition(17, 4)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            WorkerPool.partition(-1, 2)
-        with pytest.raises(ValueError):
-            WorkerPool.partition(4, 0)
-
-
 class TestWorkerPool:
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):

@@ -11,15 +11,17 @@ counters, span, fallback, and error behaviour the runtime relies on.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro import nn
 from repro.nn.autograd import Tensor, no_grad
 from repro.nn.binary import BinaryConv2d, BinaryLinear
 from repro.observability import Tracer
+from repro.wasm import plan as plan_module
 from repro.wasm import (
     PlanCompileError,
     PlanExecutionError,
+    PlanVerificationError,
     WasmModel,
     backend_available,
     compile_trunk_plan,
@@ -34,9 +36,6 @@ pytestmark = [
         not backend_available(), reason="C kernel backend unavailable"
     ),
 ]
-
-settings.register_profile("repro-plan", max_examples=20, deadline=None)
-settings.load_profile("repro-plan")
 
 
 def engine_for(bundle: nn.Sequential, input_shape) -> WasmModel:
@@ -53,6 +52,7 @@ def assert_plan_bit_identical(bundle, input_shape, capacity=8, batches=(1, 3, 8)
         # Exercise the exact-zero paths the padded-source kernels rely on.
         x[x < -2.0] = 0.0
         np.testing.assert_array_equal(plan.execute(x), engine.forward(x))
+    return plan
 
 
 class TestFloatStackProperties:
@@ -129,17 +129,28 @@ class TestFloatStackProperties:
 
 class TestBinaryStackProperties:
     @given(
-        in_channels=st.integers(1, 3),
+        in_channels=st.sampled_from([1, 3, 14, 15, 16, 29, 32]),
         out_channels=st.integers(1, 6),
         padding=st.integers(0, 1),
         stride=st.integers(1, 2),
         size=st.integers(6, 12),
         seed=st.integers(0, 2**31 - 1),
     )
+    # AlexNet's branch conv: 288-bit windows, AVX2 gather.
+    @example(in_channels=32, out_channels=6, padding=1, stride=1, size=16, seed=0)
+    # 135-bit windows (one recursion split, odd tail), scalar gather.
+    @example(in_channels=15, out_channels=4, padding=1, stride=2, size=11, seed=1)
     def test_binary_conv_matches_interpreter(
         self, in_channels, out_channels, padding, stride, size, seed
     ):
-        """Fused unfold→XNOR→popcount→scale binary convs are exact."""
+        """Fused unfold→XNOR→popcount→scale binary convs are exact.
+
+        3×3 windows of 9–288 bits span 1–5 popcount words, both sides of
+        the pairwise-sum split at 128 values, and tails that are not a
+        multiple of 8; stride 1 with ``ow >= 8`` draws the AVX2 gather,
+        everything else the scalar one.  The plan must also be accepted
+        with the |window| mean fused in C, not on the NumPy-mean tier.
+        """
         rng = np.random.default_rng(seed)
         bundle = nn.Sequential(
             BinaryConv2d(
@@ -147,7 +158,8 @@ class TestBinaryStackProperties:
                 stride=stride, padding=padding, rng=rng,
             )
         )
-        assert_plan_bit_identical(bundle, (in_channels, size, size))
+        plan = assert_plan_bit_identical(bundle, (in_channels, size, size))
+        assert plan.kernel_options["c_mean"], plan.kernel_options
 
     @given(
         features=st.sampled_from([16, 63, 64, 100, 784]),
@@ -378,6 +390,32 @@ class TestPlanPlumbing:
         desc = plan.describe()
         assert desc["num_steps"] == len(plan.steps)
         assert desc["arena_bytes"] > 0
+
+    def test_wide_window_binary_conv_has_no_abscols_buffer(self):
+        """AlexNet's branch geometry (32 ch, 16×16, k3 p1 s1: 288-bit
+        windows) compiles on the fused-mean tier, so its arena holds no
+        per-window |value| matrix."""
+        rng = np.random.default_rng(4)
+        bundle = nn.Sequential(BinaryConv2d(32, 32, 3, padding=1, rng=rng))
+        plan = compile_wasm_plan(engine_for(bundle, (32, 16, 16)), 64)
+        assert plan.kernel_options == {"direct_conv": True, "c_mean": True}
+        names = [buf["name"] for buf in plan.arena.describe()]
+        assert not any(name.startswith("abscols") for name in names), names
+
+    def test_describe_reports_fallback_kernel_tier(self, monkeypatch):
+        """A plan accepted below tier 0 says so in ``describe()``."""
+        verify = plan_module._verify
+
+        def fail_tier0(plan, reference, x):
+            if plan.kernel_options == {"direct_conv": True, "c_mean": True}:
+                raise PlanVerificationError("forced tier-0 probe failure")
+            return verify(plan, reference, x)
+
+        monkeypatch.setattr(plan_module, "_verify", fail_tier0)
+        plan = compile_wasm_plan(self.make_engine(), 2)
+        assert plan.describe()["kernel_options"] == {
+            "direct_conv": False, "c_mean": True,
+        }
 
     def test_popcount_bytes_attributed_to_binary_steps(self):
         """Plan popdot steps account their bytes once: the per-step

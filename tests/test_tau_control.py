@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.experiments import build_overload_stream, run_tau_drill
 from repro.observability.metrics import MetricsRegistry, labeled
@@ -34,9 +34,6 @@ from repro.runtime.tau_control import (
 )
 
 pytestmark = pytest.mark.tau
-
-settings.register_profile("repro-tau", max_examples=50, deadline=None)
-settings.load_profile("repro-tau")
 
 
 class TestTauControlConfig:
