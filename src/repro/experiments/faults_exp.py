@@ -131,20 +131,20 @@ def run_degradation(
             branch_only = float(
                 (logits.argmax(axis=1) == np.asarray(labels)).mean()
             )
-        session = deployment.run_session(
+        result = deployment.run_session(
             np.asarray(images),
             config=SessionConfig(batch_size=batch_size if batch_size else 1),
         )
         points.append(
             DegradationPoint(
                 drop_prob=float(drop),
-                accuracy=session.accuracy(labels),
-                exit_rate=session.exit_rate,
-                fallback_rate=session.fallback_rate,
-                mean_attempts=session.mean_attempts,
-                mean_latency_ms=session.mean_latency_ms,
+                accuracy=result.accuracy(labels),
+                exit_rate=result.exit_rate,
+                fallback_rate=result.fallback_rate,
+                mean_attempts=result.mean_attempts,
+                mean_latency_ms=result.mean_latency_ms,
                 mean_retry_ms=float(
-                    np.mean([o.cost.retry_ms for o in session.outcomes])
+                    np.mean([o.cost.retry_ms for o in result.outcomes])
                 ),
             )
         )

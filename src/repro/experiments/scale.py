@@ -593,7 +593,7 @@ def run_worker_scaling(
         throughput = need / makespan_ms * 1e3 if makespan_ms > 0 else float("inf")
         batches = counters.batches
         mean_queue_wait_ms = counters.mean_queue_wait_ms
-        max_workers_busy = counters.max_workers_busy
+        max_workers_busy = scheduler.worker_pool.max_busy
 
         wall_makespan_ms: Optional[float] = None
         wall_throughput: Optional[float] = None

@@ -7,8 +7,12 @@ metric is a named object in a :class:`MetricsRegistry`, so exporters and
 tests read one schema instead of three, and new subsystems get
 observability by naming a metric rather than writing a dataclass.  The
 legacy classes survive as read-by-name facades over registry metrics
-(see :mod:`repro.profiling.op_counters`) with their ``as_dict`` schemas
-unchanged; every write goes through the metric's own locked ``add`` or
+(see :mod:`repro.profiling.op_counters`) that keep no state of their
+own: each serving fact is one series, counted once.  Transport attempts
+are ``fault.*`` (one set per deployment), who served each sample is
+``session.served_by.<who>``, batch sizes are the ``sched.batch_size``
+histogram, and the worker high-water is the ``sched.workers_busy``
+gauge.  Every write goes through the metric's own locked ``add`` or
 ``set_max``, never a read-then-set on ``value``.
 
 Metrics are deliberately primitive — a mutable ``value`` plus an

@@ -543,7 +543,7 @@ def default_fleet_slos(
         SloSpec(
             name="fallback-rate",
             kind="ratio",
-            metric="session.fallback_samples",
+            metric="session.served_by.binary-fallback",
             total="session.samples",
             threshold=max_fallback_fraction,
             description="fraction of samples degraded to the binary fallback",

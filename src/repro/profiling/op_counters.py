@@ -6,8 +6,9 @@ counters (:class:`ModelCounters`), miss-path transport counters
 (:class:`SchedulerCounters`).  They are now *facades*: every field is
 backed by a named metric in a
 :class:`~repro.observability.metrics.MetricsRegistry`, so exporters and
-the ``repro trace`` telemetry read one schema.  Reads by name
-(``counters.frames_sent``) and the ``as_dict`` layouts are unchanged;
+the ``repro trace`` telemetry read one schema.  A facade keeps no
+state of its own — only metric handles — so each fact it reports is
+one registry series.  Fields read by name (``counters.frames_sent``);
 there is one write path: ``counters.add("frames_sent")`` goes through
 the metric's locked ``Counter.add`` (exact under worker threads, seen by
 ``watch()`` hooks), and the high-water fields use the locked
@@ -16,11 +17,11 @@ read-only, so a stray ``counters.x += 1`` raises instead of silently
 shadowing the metric.
 
 Because counters now have a registry behind them, *scoping* them is
-possible: :func:`counters_scope` snapshots every live facade plus the
-observability global registry (which also holds the process-wide
-popcount total, ``wasm.bytes_popcounted``) and restores them on exit —
-the fixture ``tests/conftest.py`` installs so tests stop leaking counter
-state into each other through session-scoped engines.
+possible: :func:`counters_scope` snapshots the registry of every live
+facade plus the observability global registry (which also holds the
+process-wide popcount total, ``wasm.bytes_popcounted``) and restores
+them on exit — the fixture ``tests/conftest.py`` installs so tests stop
+leaking counter state into each other through session-scoped engines.
 """
 
 from __future__ import annotations
@@ -28,9 +29,8 @@ from __future__ import annotations
 import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
-
-from typing import Mapping
+from types import MappingProxyType
+from typing import Iterator, Mapping, Optional, Union
 
 from ..observability.metrics import Counter, Gauge, MetricsRegistry, labeled
 
@@ -180,11 +180,12 @@ class _RegistryFacade:
         self,
         registry: Optional[MetricsRegistry] = None,
         labels: Optional[Mapping[str, object]] = None,
-        **values: Union[int, float],
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
-        self._labels = dict(labels) if labels else {}
-        self._metrics: dict[str, Union[Counter, Gauge]] = {}
+        # Read-only views: the facade holds metric handles and its label
+        # set, never a mutable container a count could hide in.
+        self._labels = MappingProxyType(dict(labels or {}))
+        metrics: dict[str, Union[Counter, Gauge]] = {}
         for name, zero in self._FIELDS.items():
             full = self.metric_name(name)
             if name in self._HIGH_WATER:
@@ -194,15 +195,9 @@ class _RegistryFacade:
                     metric.value = zero  # keep the field's int zero
             else:
                 metric = self.registry.counter(full)
-            self._metrics[name] = metric
+            metrics[name] = metric
+        self._metrics = MappingProxyType(metrics)
         _LIVE_FACADES.add(self)
-        for name, value in values.items():
-            if name not in self._FIELDS:
-                raise TypeError(f"{type(self).__name__} has no field {name!r}")
-            if name in self._HIGH_WATER:
-                self.set_max(name, value)
-            else:
-                self.add(name, value)
 
     def metric_name(self, suffix: str) -> str:
         """Full registry name of one field: prefix, suffix, and labels.
@@ -213,10 +208,6 @@ class _RegistryFacade:
         share one registry without folding into a single series.
         """
         return labeled(f"{self._PREFIX}.{suffix}", **self._labels)
-
-    @property
-    def labels(self) -> dict[str, object]:
-        return dict(self._labels)
 
     def add(self, name: str, amount: Union[int, float] = 1) -> None:
         """Bump one counter field (locked; watchers see the increment)."""
@@ -243,10 +234,11 @@ class FaultCounters(_RegistryFacade):
 
     The session layer bumps these as collaborative frames travel the
     (possibly faulty) link: every attempt is a ``frames_sent``; failures
-    split by cause; ``retries`` counts re-sends after a failure; and
-    ``fallbacks`` counts missed samples answered by the local binary
-    branch instead, because the retry policy ran out or the edge's
-    reply was rejected.
+    split by cause; and ``retries`` counts re-sends after a failure.
+    They count frames and attempts, not samples: who answered each
+    sample (edge, branch, or binary-branch fallback) is on the session's
+    outcomes and, for scheduled sessions, the ``session.served_by.*``
+    series.
     """
 
     _PREFIX = "fault"
@@ -260,7 +252,6 @@ class FaultCounters(_RegistryFacade):
         "overloads": 0,
         "replies_rejected": 0,
         "retries": 0,
-        "fallbacks": 0,
     }
 
     @property
@@ -280,10 +271,14 @@ class SchedulerCounters(_RegistryFacade):
     Request/sample counters split admission outcomes (accepted vs shed
     vs malformed); batch counters describe what the trunk actually
     executed; ``queue_wait_ms`` accumulates simulated per-sample
-    waiting (window + head-of-line + edge busy).  Per-tenant rows keep
-    the fairness policy observable, and the registry additionally
-    carries ``sched.batch_size`` / ``sched.queue_wait_ms`` histograms
-    so p50/p95/p99 queueing summaries fall out of any run.
+    waiting (window + head-of-line + edge busy).  The registry
+    additionally carries the ``sched.batch_size`` (one observation per
+    batch, exact mode: the batch-size record),
+    ``sched.batch_queue_wait_ms`` and ``sched.request_queue_wait_ms``
+    histograms, so p50/p95/p99 queueing summaries fall out of any run.
+    The worker-pool high-water lives on
+    ``EdgeScheduler.worker_pool.max_busy`` and the ``sched.workers_busy``
+    gauge.
     """
 
     _PREFIX = "sched"
@@ -300,19 +295,15 @@ class SchedulerCounters(_RegistryFacade):
         "busy_ms": 0.0,
         "queue_wait_ms": 0.0,
         "max_queue_depth": 0,
-        "max_workers_busy": 0,
     }
-    _HIGH_WATER = frozenset({"max_queue_depth", "max_workers_busy"})
+    _HIGH_WATER = frozenset({"max_queue_depth"})
 
     def __init__(
         self,
         registry: Optional[MetricsRegistry] = None,
         labels: Optional[Mapping[str, object]] = None,
-        **values,
     ) -> None:
-        super().__init__(registry=registry, labels=labels, **values)
-        self.batch_size_hist: dict[int, int] = {}
-        self.per_tenant: dict[int, dict[str, int]] = {}
+        super().__init__(registry=registry, labels=labels)
         self._batch_size_h = self.registry.histogram(
             self.metric_name("batch_size"), bounds=_BATCH_SIZE_BUCKETS
         )
@@ -326,18 +317,11 @@ class SchedulerCounters(_RegistryFacade):
             self.metric_name("request_queue_wait_ms"), max_samples=4096
         )
 
-    def tenant(self, tenant_id: int) -> dict[str, int]:
-        """The (created-on-demand) counter row for one session/tenant."""
-        return self.per_tenant.setdefault(
-            int(tenant_id), {"submitted": 0, "accepted": 0, "shed": 0, "served": 0}
-        )
-
     def record_batch(self, batch_size: int, exec_ms: float, waits_ms: float) -> None:
         self.add("batches")
         self.add("samples_served", batch_size)
         self.add("busy_ms", exec_ms)
         self.add("queue_wait_ms", waits_ms)
-        self.batch_size_hist[batch_size] = self.batch_size_hist.get(batch_size, 0) + 1
         self._batch_size_h.observe(batch_size)
         self._queue_wait_h.observe(waits_ms / batch_size if batch_size else 0.0)
 
@@ -377,29 +361,18 @@ class SchedulerCounters(_RegistryFacade):
 
     def reset(self) -> None:
         super().reset()
-        self.batch_size_hist = {}
-        self.per_tenant = {}
         self._batch_size_h.reset()
         self._queue_wait_h.reset()
         self._request_wait_h.reset()
 
     def as_dict(self) -> dict[str, object]:
-        out = super().as_dict()
-        out.update(
-            {
-                "shed_rate": self.shed_rate,
-                "mean_batch_size": self.mean_batch_size,
-                "mean_queue_wait_ms": self.mean_queue_wait_ms,
-                "throughput_rps": self.throughput_rps,
-                "batch_size_hist": {
-                    str(k): v for k, v in sorted(self.batch_size_hist.items())
-                },
-                "per_tenant": {
-                    str(k): dict(v) for k, v in sorted(self.per_tenant.items())
-                },
-            }
-        )
-        return out
+        return {
+            **super().as_dict(),
+            "shed_rate": self.shed_rate,
+            "mean_batch_size": self.mean_batch_size,
+            "mean_queue_wait_ms": self.mean_queue_wait_ms,
+            "throughput_rps": self.throughput_rps,
+        }
 
 
 # ----------------------------------------------------------------------
@@ -420,24 +393,11 @@ def counters_scope() -> Iterator[None]:
     """
     from ..observability.metrics import global_registry
 
-    facades = [f for f in _LIVE_FACADES]
-    reg_snaps = [(f, f.registry.state()) for f in facades]
-    dict_snaps = [
-        (
-            f,
-            {k: dict(v) for k, v in f.per_tenant.items()},
-            dict(f.batch_size_hist),
-        )
-        for f in facades
-        if isinstance(f, SchedulerCounters)
-    ]
+    reg_snaps = [(f.registry, f.registry.state()) for f in _LIVE_FACADES]
     global_snap = global_registry().state()
     try:
         yield
     finally:
-        for f, snap in reg_snaps:
-            f.registry.restore(snap)
-        for f, tenants, hist in dict_snaps:
-            f.per_tenant = tenants
-            f.batch_size_hist = hist
+        for registry, snap in reg_snaps:
+            registry.restore(snap)
         global_registry().restore(global_snap)

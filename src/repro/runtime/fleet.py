@@ -292,7 +292,6 @@ class _Shard:
         "state",
         "consecutive_failures",
         "sessions",
-        "busy_gauge",
         "requests_ok",
         "requests_total",
     )
@@ -306,9 +305,6 @@ class _Shard:
         self.consecutive_failures = 0
         self.sessions: set[int] = set()
         registry = scheduler.counters.registry
-        self.busy_gauge = registry.gauge(
-            scheduler.counters.metric_name("workers_busy")
-        )
         # Availability series the per-shard SLO watches: a request is
         # "ok" when its reply was computed and collected from this
         # shard; failed submits and stranded tickets bump only the
@@ -990,10 +986,10 @@ class FleetRouter:
         for shard in active:
             sched = shard.scheduler
             depths.append(sched.queue_depth_gauge.value)
-            busy.append(shard.busy_gauge.value / sched.config.num_workers)
+            busy.append(sched.workers_busy_gauge.value / sched.config.num_workers)
             # Reset the high-waters so next round's signal is its own.
             sched.queue_depth_gauge.set(float(sched.queued_samples()))
-            shard.busy_gauge.set(0.0)
+            sched.workers_busy_gauge.set(0.0)
         mean_depth = sum(depths) / len(depths)
         busy_fraction = sum(busy) / len(busy)
         action = self.autoscaler.step(

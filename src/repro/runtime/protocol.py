@@ -39,7 +39,7 @@ import enum
 import json
 import struct
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -372,6 +372,39 @@ def decode_frame(frame: bytes) -> Message:
     return decoder(body)
 
 
+def answer_requests(
+    requests: Sequence[BatchInferenceRequest], logits: np.ndarray
+) -> list[BatchInferenceResponse]:
+    """The edge's answers to requests whose feature stacks went through
+    the trunk as one batch, concatenated in ``requests`` order.
+
+    Softmax → argmax per row: a sample's class id and confidence depend
+    only on its own logits row, so the direct server (one request) and
+    the shared scheduler (a dynamic batch of many) build the same reply
+    bytes for the same sample.
+    """
+    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    class_ids = logits.argmax(axis=1)
+    responses = []
+    offset = 0
+    for request in requests:
+        n = len(request.sequences)
+        ids = class_ids[offset : offset + n]
+        responses.append(
+            BatchInferenceResponse(
+                session_id=request.session_id,
+                sequences=request.sequences,
+                class_ids=tuple(int(c) for c in ids),
+                confidences=tuple(
+                    float(probs[offset + i, c]) for i, c in enumerate(ids)
+                ),
+            )
+        )
+        offset += n
+    return responses
+
+
 class EdgeProtocolServer:
     """Message-level façade over an :class:`~repro.runtime.session.EdgeEndpoint`.
 
@@ -396,17 +429,8 @@ class EdgeProtocolServer:
             except Exception as exc:  # codec/shape errors become 422s
                 return encode_frame(ErrorResponse(code=422, message=str(exc)))
             try:
-                logits = self.endpoint.infer(features)
-                probs = np.exp(logits - logits.max(axis=1, keepdims=True))
-                probs /= probs.sum(axis=1, keepdims=True)
-                class_ids = logits.argmax(axis=1)
-                response = BatchInferenceResponse(
-                    session_id=message.session_id,
-                    sequences=message.sequences,
-                    class_ids=tuple(int(c) for c in class_ids),
-                    confidences=tuple(
-                        float(probs[i, c]) for i, c in enumerate(class_ids)
-                    ),
+                (response,) = answer_requests(
+                    [message], self.endpoint.infer(features)
                 )
             except Exception as exc:  # endpoint failures stay on the wire
                 return encode_frame(

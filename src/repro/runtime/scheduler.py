@@ -53,15 +53,14 @@ from .latency import ComputeStep
 from .profiles import DeviceProfile, EDGE_SERVER
 from .protocol import (
     BatchInferenceRequest,
-    BatchInferenceResponse,
     ErrorResponse,
     ProtocolError,
     SchedulerAck,
+    answer_requests,
     decode_frame,
     encode_frame,
 )
 from .session import (
-    SERVED_BY_FALLBACK,
     EdgeEndpoint,
     LCRSDeployment,
     RecognitionOutcome,
@@ -190,9 +189,10 @@ class EdgeScheduler:
         self.queue_depth_gauge = self.counters.registry.gauge(
             self.counters.metric_name("queue_depth")
         )
-        #: Real thread pool for batch execution; its busy high-water
-        #: feeds the `sched.workers_busy` gauge and counter.  The gauge
-        #: is also read by :meth:`health` for the busy fraction.
+        #: Real thread pool for batch execution.  Its lifetime busy
+        #: high-water is ``worker_pool.max_busy``; it also raises the
+        #: `sched.workers_busy` gauge, which :meth:`health` reads for the
+        #: busy fraction and the fleet autoscaler resets per round.
         self.workers_busy_gauge = self.counters.registry.gauge(
             self.counters.metric_name("workers_busy")
         )
@@ -331,8 +331,6 @@ class EdgeScheduler:
         self.register(tenant)
         n = len(message.sequences)
         counters.add("submitted_samples", n)
-        row = counters.tenant(tenant)
-        row["submitted"] += n
 
         key = (tenant, message.sequences)
         if key in self._dedupe:
@@ -348,7 +346,6 @@ class EdgeScheduler:
         if self.queued_samples() + n > self.config.queue_capacity:
             counters.add("shed_requests")
             counters.add("shed_samples", n)
-            row["shed"] += n
             return encode_frame(
                 ErrorResponse(
                     code=503,
@@ -364,7 +361,6 @@ class EdgeScheduler:
         if held > 0 and held + n > self.tenant_fair_share:
             counters.add("shed_requests")
             counters.add("shed_samples", n)
-            row["shed"] += n
             return encode_frame(
                 ErrorResponse(
                     code=503,
@@ -387,7 +383,6 @@ class EdgeScheduler:
         self._dedupe[key] = ticket
         counters.add("accepted_requests")
         counters.add("accepted_samples", n)
-        row["accepted"] += n
         depth = self.queued_samples()
         counters.set_max("max_queue_depth", depth)
         self.queue_depth_gauge.set_max(depth)
@@ -495,34 +490,18 @@ class EdgeScheduler:
                 self._queue.remove(q)
 
         outputs = self.worker_pool.map(self._execute_batch, batches)
-        self.counters.set_max("max_workers_busy", self.worker_pool.max_busy)
 
         for batch, (logits, infer_wall_ms) in zip(batches, outputs):
-            # Same softmax/argmax math as EdgeProtocolServer's per-request
-            # path, so scheduled answers match unscheduled ones bit-for-bit.
-            probs = np.exp(logits - logits.max(axis=1, keepdims=True))
-            probs /= probs.sum(axis=1, keepdims=True)
-            class_ids = logits.argmax(axis=1)
-
+            # The same answer builder as EdgeProtocolServer, so scheduled
+            # replies match unscheduled ones byte for byte.
+            responses = answer_requests([q.request for q in batch.chosen], logits)
             start = batch.start_ms
             waits = 0.0
-            offset = 0
-            for q in batch.chosen:
-                ids = class_ids[offset : offset + q.samples]
-                response = BatchInferenceResponse(
-                    session_id=q.request.session_id,
-                    sequences=q.request.sequences,
-                    class_ids=tuple(int(c) for c in ids),
-                    confidences=tuple(
-                        float(probs[offset + i, c]) for i, c in enumerate(ids)
-                    ),
-                )
+            for q, response in zip(batch.chosen, responses):
                 wait = start - q.arrival_ms
                 self._results[q.ticket] = (encode_frame(response), wait)
                 self.counters.record_request_wait(wait)
-                self.counters.tenant(q.tenant)["served"] += q.samples
                 waits += wait * q.samples
-                offset += q.samples
                 served.append(q.ticket)
                 self._dedupe.pop((q.tenant, q.request.sequences), None)
                 if rec.enabled:
@@ -645,25 +624,22 @@ def run_concurrent_sessions(
         scheduler.recorder = recorder
     rec = scheduler.recorder
     cfg = config if config is not None else SessionConfig()
-    # Session-level registry series (satellite of the SLO layer): who
-    # served each sample and the running fallback fraction.  They live
-    # on the scheduler's (or fleet's) registry, which the SLO monitor
-    # reads; each deployment's `fault.*` counters live on its own
-    # private registry.  ``scheduler`` may be a FleetRouter,
-    # which exposes ``registry`` directly and no shard identity (these
-    # series aggregate the whole fleet; sessions move across shards).
+    # Session-level series: samples, and who served each one
+    # (`session.served_by.<who>`; the fallback-rate SLO reads the
+    # binary-fallback one over `session.samples`).  A bare scheduler
+    # writes them to its registry, shard-labeled if it has a shard; a
+    # FleetRouter exposes ``registry`` directly and writes them
+    # unlabeled, aggregating the whole fleet (sessions move across
+    # shards).  Each deployment's `fault.*` transport counters live on
+    # its own private registry.
     registry = getattr(scheduler, "registry", None)
+    session_labels = {}
     if registry is None:
         registry = scheduler.counters.registry
-    shard = getattr(scheduler, "shard", None)
-    session_labels = {"shard": shard} if shard is not None else {}
+        shard = getattr(scheduler, "shard", None)
+        if shard is not None:
+            session_labels = {"shard": shard}
     samples_c = registry.counter(labeled("session.samples", **session_labels))
-    fallback_c = registry.counter(
-        labeled("session.fallback_samples", **session_labels)
-    )
-    fallback_rate_g = registry.gauge(
-        labeled("session.fallback_rate", **session_labels)
-    )
     served_by_c: dict[str, Counter] = {}
     sessions: list[_SessionState] = []
     for deployment, images in zip(deployments, streams):
@@ -758,11 +734,6 @@ def run_concurrent_sessions(
                         )
                         served_by_c[who] = counter
                     counter.add(1)
-                    if who == SERVED_BY_FALLBACK:
-                        fallback_c.add(1)
-                fallback_rate_g.set(
-                    fallback_c.value / samples_c.value if samples_c.value else 0.0
-                )
             s.clock_ms += sum(c.total_ms for c in s.costs[-pending.count :])
             s.cursor += pending.count
 

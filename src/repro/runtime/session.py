@@ -816,7 +816,7 @@ class LCRSDeployment:
 
         Returns the first accepted answer, or ``None`` when the policy
         ran out and the chunk must fall back to the binary branch
-        (:meth:`_apply_reply` counts the fallback).
+        (:meth:`_apply_reply` marks the fallback).
         Sets ``pending.attempts`` and ``pending.retry_ms``; the latter
         prices the failed attempts for the latency model: drops and
         timeouts cost a full per-attempt timeout window, rejected or
@@ -1056,13 +1056,14 @@ class LCRSDeployment:
     ) -> None:
         """Land the edge's answer (or the lack of one) on a chunk.
 
-        This is the one place fallbacks are counted, in samples.
+        This is the one place a miss is marked as a fallback; the count
+        lives on each sample's outcome (``served_by``), not in
+        ``fault_counters``, which count frames and attempts.
         """
         if reply is None:
             # The whole chunk degrades together: every miss keeps its
             # binary-branch argmax, already in `predictions`.
             pending.served_by = SERVED_BY_FALLBACK
-            self.fault_counters.add("fallbacks", int(pending.miss_idx.size))
         else:
             by_sequence = {
                 int(s): int(c) for s, c in zip(reply.sequences, reply.class_ids)

@@ -203,26 +203,6 @@ def _im2col(x: np.ndarray, geom: ConvGeometry) -> np.ndarray:
     return _unfold(x, geom.kernel, geom.stride, geom.out_height, geom.out_width)
 
 
-def _im2col_with_mask(
-    x: np.ndarray, kernel: int, stride: int, padding: int
-) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """im2col returning both columns and a padding-validity mask.
-
-    Compatibility wrapper over the cached-geometry path; the compiled
-    ops use :func:`conv_geometry` + :func:`_im2col` directly.
-    """
-    n, c, h, w = x.shape
-    geom = conv_geometry(c, h, w, kernel, stride, padding)
-    cols = _im2col(x, geom)
-    if geom.valid_cols is None:
-        valid = np.ones((n * geom.rows, geom.row_len), dtype=bool)
-    else:
-        valid = np.broadcast_to(
-            geom.valid_cols[None], (n, geom.rows, geom.row_len)
-        ).reshape(n * geom.rows, geom.row_len)
-    return cols, valid, geom.out_height, geom.out_width
-
-
 class WasmModel:
     """Executable ``.lcrs`` model.
 

@@ -70,15 +70,30 @@ TRANSPORTS = ("direct", "scheduler")
 def serve(deployment, images, transport, config=None):
     """One session over ``transport``: ``run_session`` against the
     deployment's private edge server, or ``run_concurrent_sessions``
-    with this session alone on a shared :class:`EdgeScheduler`."""
+    with this session alone on a shared :class:`EdgeScheduler`.
+
+    Returns ``(result, registry)``: the scheduler's registry (which
+    holds the ``session.served_by.*`` series), or ``None`` for the
+    direct transport."""
     config = config if config is not None else SessionConfig()
     if transport == "direct":
-        return deployment.run_session(images, config=config)
+        return deployment.run_session(images, config=config), None
     scheduler = EdgeScheduler.for_system(deployment.system)
     (result,) = run_concurrent_sessions(
         [deployment], [images], scheduler, config=config
     )
-    return result
+    return result, scheduler.counters.registry
+
+
+def fallback_count(result, registry=None) -> int:
+    """Samples the binary branch answered because the edge did not,
+    from the session's outcomes; with a serving ``registry``, its
+    ``session.served_by.binary-fallback`` series must agree exactly."""
+    fallbacks = result.served_by_counts.get(SERVED_BY_FALLBACK, 0)
+    if registry is not None:
+        series = registry.get(f"session.served_by.{SERVED_BY_FALLBACK}")
+        assert (series.value if series is not None else 0) == fallbacks
+    return fallbacks
 
 
 def branch_predictions(deployment, images) -> np.ndarray:
@@ -373,10 +388,10 @@ class TestGracefulDegradation:
             faulty(four_g(seed=2).deterministic(), "partition"),
             retry_policy=FAST_POLICY,
         )
-        session = serve(deployment, test.images[:20], transport)
+        session, registry = serve(deployment, test.images[:20], transport)
         misses = sum(not o.exited_locally for o in session.outcomes)
         counters = deployment.fault_counters
-        assert counters.fallbacks == misses
+        assert fallback_count(session, registry) == misses
         assert counters.frames_sent == misses * FAST_POLICY.max_attempts
         assert counters.frames_dropped == misses * FAST_POLICY.max_attempts
         assert counters.retries == misses * (FAST_POLICY.max_attempts - 1)
@@ -393,7 +408,7 @@ class TestGracefulDegradation:
             test.images[:20], config=SessionConfig(batch_size=7)
         )
         misses = sum(not o.exited_locally for o in session.outcomes)
-        assert deployment.fault_counters.fallbacks == misses
+        assert fallback_count(session) == misses
 
     def test_fallback_cost_prices_failed_attempts(self, strict_system):
         """Three dropped attempts with jitter-free backoff cost exactly
@@ -448,7 +463,7 @@ class TestGracefulDegradation:
                 assert b.cost.total_ms == pytest.approx(a.cost.total_ms)
         assert deployment.fault_counters.frames_dropped == 1
         assert deployment.fault_counters.retries == 1
-        assert deployment.fault_counters.fallbacks == 0
+        assert fallback_count(session) == 0
 
     def test_timeout_still_reaches_server(self, strict_system):
         """A timeout loses the reply, not the request: the endpoint does
@@ -475,7 +490,7 @@ class TestGracefulDegradation:
         counters = deployment.fault_counters
         assert counters.frames_corrupted == 1
         assert counters.edge_errors == 1  # the mangled frame drew a 400
-        assert counters.fallbacks == 0
+        assert fallback_count(session) == 0
         assert all(
             o.served_by == SERVED_BY_EDGE
             for o in session.outcomes
@@ -522,7 +537,7 @@ class TestGracefulDegradation:
             assert b.attempts == (0 if b.exited_locally else 1)
         counters = deployment.fault_counters
         assert counters.failures == 0
-        assert counters.fallbacks == 0
+        assert fallback_count(wrapped) == 0
         assert counters.retries == 0
 
     def test_deadline_stops_retrying_early(self, strict_system):
@@ -559,18 +574,23 @@ class TestFaultCounterWatchers:
             retry_policy=FAST_POLICY,
         )
         counters = deployment.fault_counters
-        seen = {"fallbacks": [], "frames_sent": []}
+        seen = {"frames_dropped": [], "frames_sent": []}
         for name, amounts in seen.items():
             counters.registry.counter(f"fault.{name}").watch(amounts.append)
         session = deployment.run_session(test.images[:20])
 
-        fallbacks = sum(o.served_by == SERVED_BY_FALLBACK for o in session.outcomes)
+        fallbacks = fallback_count(session)
         assert fallbacks > 0
-        assert sum(seen["fallbacks"]) == counters.fallbacks == fallbacks
         attempts = sum(o.attempts for o in session.outcomes)
         assert attempts > fallbacks
         assert sum(seen["frames_sent"]) == counters.frames_sent == attempts
         assert seen["frames_sent"] == [1] * attempts
+        # Drops are the link's only fault: every attempt that did not
+        # bring back an edge answer was dropped.
+        edge_served = session.served_by_counts.get(SERVED_BY_EDGE, 0)
+        assert sum(seen["frames_dropped"]) == counters.frames_dropped
+        assert counters.frames_dropped == attempts - edge_served
+        assert seen["frames_dropped"] == [1] * (attempts - edge_served)
 
     def test_fields_are_read_only(self):
         counters = FaultCounters()
@@ -582,9 +602,13 @@ class TestFaultCounterWatchers:
 
 class TestFaultCountersType:
     def test_reset_and_dict_roundtrip(self):
-        counters = FaultCounters(frames_sent=3, frames_dropped=2, retries=1)
+        counters = FaultCounters()
+        counters.add("frames_sent", 3)
+        counters.add("frames_dropped", 2)
+        counters.add("retries")
         as_dict = counters.as_dict()
         assert as_dict["frames_sent"] == 3 and as_dict["retries"] == 1
+        assert counters.failures == 2
         counters.reset()
         assert counters.as_dict() == FaultCounters().as_dict()
         assert counters.failures == 0
@@ -650,14 +674,21 @@ class TestFaultSmokeProfile:
             faulty(four_g(seed=2), profile, seed=13),
             retry_policy=FAST_POLICY,
         )
-        session = serve(
+        session, registry = serve(
             deployment, images, transport, SessionConfig(batch_size=batch_size)
         )
 
         assert len(session.outcomes) == len(images)
+        fallback_count(session, registry)  # the served_by series agree
+        # Each attempt is either the one that brought the chunk's answer
+        # or exactly one counted failure.
         counters = deployment.fault_counters
-        fallbacks = sum(o.served_by == SERVED_BY_FALLBACK for o in session.outcomes)
-        assert counters.fallbacks == fallbacks
+        edge_chunks = {
+            o.index // batch_size
+            for o in session.outcomes
+            if o.served_by == SERVED_BY_EDGE
+        }
+        assert counters.frames_sent == counters.failures + len(edge_chunks)
         branch = branch_predictions(deployment, images)
         for i, outcome in enumerate(session.outcomes):
             assert outcome.served_by in (

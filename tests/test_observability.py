@@ -152,6 +152,44 @@ class TestCountersScope:
         assert global_registry().counter("test.scope.probe").value == 1
         assert global_registry().counter("wasm.bytes_popcounted").value == popcounted
 
+    def test_facade_state_lives_in_the_registry_alone(self):
+        """A facade is metric handles over a registry, nothing else: its
+        fields and ``as_dict`` come back from registry state alone, so
+        ``counters_scope`` (which restores registries only) covers it,
+        and no attribute is a mutable container a second count could
+        hide in."""
+        from repro.profiling import FaultCounters, SchedulerCounters, counters_scope
+
+        def bump(facade, amount):
+            for name in type(facade)._FIELDS:
+                if name in type(facade)._HIGH_WATER:
+                    facade.set_max(name, getattr(facade, name) + amount)
+                else:
+                    facade.add(name, amount)
+            if isinstance(facade, SchedulerCounters):
+                facade.record_batch(amount, 2.0 * amount, 0.5 * amount)
+                facade.record_request_wait(float(amount))
+
+        facades = [FaultCounters(), SchedulerCounters()]
+        for facade in facades:
+            bump(facade, 3)
+        before = [facade.as_dict() for facade in facades]
+        states = [facade.registry.state() for facade in facades]
+        with counters_scope():
+            for facade in facades:
+                bump(facade, 5)
+            assert [facade.as_dict() for facade in facades] != before
+        for facade, expected, state in zip(facades, before, states):
+            assert facade.as_dict() == expected
+            assert facade.registry.state() == state
+            for name, value in expected.items():
+                if name in type(facade)._FIELDS:
+                    assert getattr(facade, name) == value
+            # A second facade over the same registry reads the same facts.
+            assert type(facade)(registry=facade.registry).as_dict() == expected
+            for name, value in vars(facade).items():
+                assert not isinstance(value, (dict, list, set)), name
+
 
 # ----------------------------------------------------------------------
 # Tracing

@@ -203,8 +203,9 @@ class TestParallelScheduler:
             sched.submit(make_frame(tenant, [0]), 0.0)
         sched.flush()
         gauge = sched.counters.registry.gauge("sched.workers_busy")
-        assert 1 <= sched.counters.max_workers_busy <= 2
-        assert gauge.value == sched.counters.max_workers_busy
+        assert gauge is sched.workers_busy_gauge
+        assert 1 <= sched.worker_pool.max_busy <= 2
+        assert gauge.value == sched.worker_pool.max_busy
 
     def test_clock_setter_resets_all_workers(self):
         sched = make_scheduler(num_workers=3)

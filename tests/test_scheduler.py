@@ -17,6 +17,7 @@ import pytest
 
 from repro.experiments import ConcurrencySweepConfig, run_concurrency
 from repro.runtime import (
+    SERVED_BY_FALLBACK,
     EdgeScheduler,
     LCRSDeployment,
     SchedulerConfig,
@@ -28,6 +29,7 @@ from repro.runtime import (
 from repro.runtime.protocol import (
     BatchInferenceRequest,
     BatchInferenceResponse,
+    EdgeProtocolServer,
     ErrorResponse,
     ModelRequest,
     SchedulerAck,
@@ -62,6 +64,20 @@ MODEL = ServiceTimeModel(base_ms=1.0, per_sample_ms=0.5)
 
 def make_scheduler(**config_kwargs):
     return EdgeScheduler(StubTrunk(), MODEL, SchedulerConfig(**config_kwargs))
+
+
+def batch_sizes(scheduler):
+    """``(count, min, max)`` of the ``sched.batch_size`` histogram: one
+    observation per executed batch, so for the small multisets here it
+    pins the batch sizes exactly."""
+    h = scheduler.counters.registry.get("sched.batch_size")
+    return h.count, h.min, h.max
+
+
+def batch_size_state(counters):
+    """Full state of the ``sched.batch_size`` histogram (every observed
+    batch size, bucket counts, and sum) for determinism comparisons."""
+    return counters.registry.get("sched.batch_size").state()
 
 
 def make_frame(session_id, seqs, classes=None):
@@ -256,7 +272,7 @@ class TestBatching:
         scheduler.flush()
         assert scheduler.counters.batches == 1
         assert scheduler.endpoint.calls == 1
-        assert scheduler.counters.batch_size_hist == {5: 1}
+        assert batch_sizes(scheduler) == (1, 5, 5)
         # Both replies exist and the batch started when the head's
         # window closed (0 + 4 ms).
         _, wait1 = scheduler.collect(t1.ticket)
@@ -278,7 +294,7 @@ class TestBatching:
         submit(scheduler, make_frame(2, [0]), arrival_ms=0.0)
         submit(scheduler, make_frame(3, [0]), arrival_ms=0.25)
         scheduler.flush()
-        assert scheduler.counters.batch_size_hist == {2: 1, 1: 1}
+        assert batch_sizes(scheduler) == (2, 1, 2)
 
     def test_window_smaller_than_arrival_gap_serves_solo(self):
         # Every batch closes before the next request lands: dynamic
@@ -290,7 +306,7 @@ class TestBatching:
         ]
         scheduler.flush()
         assert scheduler.counters.batches == 3
-        assert scheduler.counters.batch_size_hist == {1: 3}
+        assert batch_sizes(scheduler) == (3, 1, 1)
         for i, ticket in enumerate(tickets):
             _, wait = scheduler.collect(ticket)
             assert wait == pytest.approx(1.0)  # each waits out its own window
@@ -300,7 +316,7 @@ class TestBatching:
         a = submit(scheduler, make_frame(1, [0, 1, 2]), arrival_ms=0.0)
         b = submit(scheduler, make_frame(1, [3, 4, 5]), arrival_ms=1.0)
         scheduler.flush()
-        assert scheduler.counters.batch_size_hist == {3: 2}
+        assert batch_sizes(scheduler) == (2, 3, 3)
         # A full (can't-grow) batch dispatches at its last member's
         # arrival instead of waiting out the window...
         _, wait_a = scheduler.collect(a.ticket)
@@ -313,20 +329,24 @@ class TestBatching:
         scheduler = make_scheduler(window_ms=0.0, max_batch_size=4)
         submit(scheduler, make_frame(1, list(range(10))))
         scheduler.flush()
-        assert scheduler.counters.batch_size_hist == {10: 1}
+        assert batch_sizes(scheduler) == (1, 10, 10)
 
     def test_round_robin_spreads_batch_across_tenants(self):
         scheduler = make_scheduler(window_ms=4.0, max_batch_size=4)
-        submit(scheduler, make_frame(1, [0, 1]), arrival_ms=0.0)
-        submit(scheduler, make_frame(1, [2, 3]), arrival_ms=0.5)
-        submit(scheduler, make_frame(2, [0, 1]), arrival_ms=1.0)
+        acks = [
+            submit(scheduler, make_frame(1, [0, 1]), arrival_ms=0.0),
+            submit(scheduler, make_frame(1, [2, 3]), arrival_ms=0.5),
+            submit(scheduler, make_frame(2, [0, 1]), arrival_ms=1.0),
+        ]
         scheduler.flush()
         # The head (tenant 1) plus tenant 2's request form the first
         # batch; tenant 1's second request waits, despite arriving first.
-        assert scheduler.counters.batch_size_hist == {4: 1, 2: 1}
-        served = scheduler.counters.per_tenant
-        assert served[1]["served"] == 4
-        assert served[2]["served"] == 2
+        assert batch_sizes(scheduler) == (2, 2, 4)
+        served = {1: 0, 2: 0}
+        for ack in acks:
+            reply = decode_frame(scheduler.collect(ack.ticket)[0])
+            served[reply.session_id] += len(reply.sequences)
+        assert served == {1: 4, 2: 2}
 
     def test_busy_trunk_delays_next_batch(self):
         scheduler = make_scheduler(window_ms=0.0)
@@ -403,7 +423,7 @@ class TestBatching:
         replies_b, counters_b, clock_b = run()
         assert replies_a == replies_b  # bytes and waits, exactly
         assert clock_a == clock_b
-        assert counters_a.batch_size_hist == counters_b.batch_size_hist
+        assert batch_size_state(counters_a) == batch_size_state(counters_b)
         assert counters_a.queue_wait_ms == counters_b.queue_wait_ms
         assert counters_a.busy_ms == counters_b.busy_ms
 
@@ -491,9 +511,15 @@ class TestConcurrentSessions:
         )
         assert scheduler.counters.shed_requests > 0
         overloads = sum(d.fault_counters.overloads for d in deployments)
-        fallbacks = sum(d.fault_counters.fallbacks for d in deployments)
+        fallbacks = sum(
+            r.served_by_counts.get(SERVED_BY_FALLBACK, 0) for r in results
+        )
         assert overloads > 0
         assert fallbacks > 0
+        served_by = scheduler.counters.registry.get(
+            f"session.served_by.{SERVED_BY_FALLBACK}"
+        )
+        assert served_by.value == fallbacks
         for result in results:
             assert len(result.outcomes) == len(images)
         # The lucky session that filled the queue serves normally; the
@@ -524,8 +550,32 @@ class TestConcurrentSessions:
             for ca, cb in zip(a.trace.samples, b.trace.samples):
                 assert ca.total_ms == cb.total_ms
                 assert ca.queue_ms == cb.queue_ms
-        assert counters_a.batch_size_hist == counters_b.batch_size_hist
+        assert batch_size_state(counters_a) == batch_size_state(counters_b)
         assert counters_a.queue_wait_ms == counters_b.queue_wait_ms
+
+
+class TestAnswerParity:
+    def test_solo_reply_frame_equals_direct_server(self, trained_system):
+        """One request through a zero-window scheduler and through
+        :class:`EdgeProtocolServer` builds the same reply bytes: class
+        ids, confidences, and framing."""
+        scheduler = EdgeScheduler.for_system(
+            trained_system, config=SchedulerConfig(window_ms=0.0)
+        )
+        server = EdgeProtocolServer(scheduler.endpoint)
+        rng = np.random.default_rng(5)
+        features = rng.standard_normal(
+            (3, *trained_system.model.stem_output_shape)
+        ).astype(np.float32)
+        frame = encode_frame(
+            BatchInferenceRequest.from_features(4, [7, 8, 9], "fp32", features)
+        )
+        ack = submit(scheduler, frame)
+        scheduler.flush()
+        scheduled, _ = scheduler.collect(ack.ticket)
+        direct = server.handle(frame)
+        assert isinstance(decode_frame(direct), BatchInferenceResponse)
+        assert scheduled == direct
 
 
 @pytest.mark.sched

@@ -30,7 +30,7 @@ from repro.observability import (
     Tracer,
     default_fleet_slos,
 )
-from repro.runtime import SessionConfig
+from repro.runtime import SERVED_BY_FALLBACK, SessionConfig
 
 
 # ----------------------------------------------------------------------
@@ -241,23 +241,50 @@ class TestAlertLifecycle:
 # ----------------------------------------------------------------------
 # Integration tier: the monitored partition drill
 # ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def drill(trained_system, tiny_mnist):
+    from repro.experiments import run_fleet_slo
+
+    _, test = tiny_mnist
+    return run_fleet_slo(
+        trained_system,
+        test.images[:40],
+        sessions=4,
+        num_shards=2,
+        partition_round=2,
+        heal_round=7,
+    )
+
+
+@pytest.mark.obs
+class TestFleetSloContract:
+    """The stock objectives read series the serving path really writes."""
+
+    def test_every_named_series_exists_in_fleet_registry(self, drill):
+        registry = drill.registry
+        for spec in default_fleet_slos():
+            for name in filter(None, (spec.metric, spec.total)):
+                if spec.group_by is None:
+                    assert registry.get(name) is not None, name
+                else:
+                    assert registry.labeled_group(name), name
+
+    def test_fallback_ratio_counts_fallback_outcomes(self, drill):
+        (spec,) = [s for s in default_fleet_slos() if s.name == "fallback-rate"]
+        registry = drill.registry
+        assert registry.get(spec.metric).value == drill.served_by[SERVED_BY_FALLBACK]
+        assert registry.get(spec.total).value == drill.samples
+        # The monitor's windows saw those samples: the ratio got a value.
+        assert any(
+            row["slow_value"] is not None
+            for row in drill.history
+            if row["slo"] == "fallback-rate"
+        )
+
+
 @pytest.mark.fleet
 @pytest.mark.sched
 class TestPartitionDrill:
-    @pytest.fixture(scope="class")
-    def drill(self, trained_system, tiny_mnist):
-        from repro.experiments import run_fleet_slo
-
-        _, test = tiny_mnist
-        return run_fleet_slo(
-            trained_system,
-            test.images[:40],
-            sessions=4,
-            num_shards=2,
-            partition_round=2,
-            heal_round=7,
-        )
-
     def test_alert_fires_during_partition_and_clears_after_heal(self, drill):
         fired = drill.fired
         cleared = drill.cleared
