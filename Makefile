@@ -22,7 +22,7 @@ trace-smoke:
 	PYTHONPATH=src $(PY) benchmarks/trace_smoke.py
 
 plan-smoke:
-	$(PYTEST) -m plan tests/test_plan_properties.py tests/test_golden_trace.py
+	$(PYTEST) -m plan tests/test_plan_properties.py tests/test_plan_zoo.py tests/test_golden_trace.py
 
 fleet-smoke:
 	$(PYTEST) -m "fleet and not sched" tests/test_fleet.py

@@ -834,6 +834,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     branch_engine = WasmModel.load(
         serialize_browser_bundle(model.binary_branch, stem_shape)
     )
+    stem_engine.plan_site, branch_engine.plan_site = "stem", "branch"
 
     print(
         f"{model.base_name}: C kernel backend "

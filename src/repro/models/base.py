@@ -16,7 +16,8 @@ evaluates exactly like the original architecture.
 
 from __future__ import annotations
 
-from typing import Optional
+from contextlib import contextmanager
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -60,10 +61,8 @@ class BranchableNetwork(Module):
         probe = Tensor(
             np.zeros((1, self.in_channels, self.input_size, self.input_size), dtype=np.float32)
         )
-        was_training = self.training
-        self.eval()
-        out = self.stem(probe)
-        self.train(was_training)
+        with _eval_mode(self):
+            out = self.stem(probe)
         return tuple(out.shape[1:])
 
     def __repr__(self) -> str:
@@ -73,12 +72,27 @@ class BranchableNetwork(Module):
         )
 
 
+@contextmanager
+def _eval_mode(module: Module) -> Iterator[None]:
+    """Run ``module`` in eval mode, then give each submodule its own mode back.
+
+    ``module.train(flag)`` would reset every submodule to one flag, so a
+    trunk put in eval mode under a training parent would come back in
+    training mode.
+    """
+    modes = [(m, m.training) for m in module.modules()]
+    module.eval()
+    try:
+        yield
+    finally:
+        for m, training in modes:
+            m.training = training
+
+
 def flattened_size(module: Module, in_channels: int, input_size: int) -> int:
     """Probe a conv stack to find its flattened feature dimension."""
     probe = Tensor(np.zeros((1, in_channels, input_size, input_size), dtype=np.float32))
-    was_training = module.training
-    module.train(False)
-    out = module(probe)
-    module.train(was_training)
+    with _eval_mode(module):
+        out = module(probe)
     size = int(np.prod(out.shape[1:]))
     return size

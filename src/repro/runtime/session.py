@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
@@ -42,6 +41,8 @@ from ..nn.module import Module
 from ..observability import NULL_RECORDER, TelemetrySummary
 from ..profiling import FLOAT_BYTES, FaultCounters, NetworkProfile
 from ..wasm import WasmModel, serialize_browser_bundle
+from ..wasm.plan import PlanCompileError, trunk_model, trunk_reference
+from ..wasm.plan_cache import PLAN_CACHE
 from .latency import (
     ComputeStep,
     ExecutionPlan,
@@ -330,117 +331,50 @@ class SessionResult:
         return float(np.mean(attempts)) if attempts else 0.0
 
 
-class _TrunkPlanPool:
-    """A lease pool of compiled trunk plans for one (geometry, capacity).
-
-    A :class:`~repro.wasm.plan.CompiledPlan` owns preallocated arena
-    buffers, so one instance cannot serve two workers at once without
-    serializing on its internal lock.  The pool hands each concurrent
-    ``infer`` its *own* instance: ``lease`` pops an idle plan, or
-    compiles a fresh one (outside the pool lock) while fewer than
-    ``max_instances`` exist.  When the pool is exhausted — or the first
-    compile failed — ``lease`` returns ``None`` and the caller takes the
-    module path, which is bit-identical because every plan is
-    probe-verified against the trunk module at compile time.
-    """
-
-    def __init__(
-        self, trunk: Module, feature_shape: tuple, capacity: int, max_instances: int
-    ) -> None:
-        self._trunk = trunk
-        self.feature_shape = tuple(int(d) for d in feature_shape)
-        self.capacity = int(capacity)
-        self.max_instances = int(max_instances)
-        self._lock = threading.Lock()
-        self._idle: list = []
-        self._total = 0
-        self._failed = False
-
-    def lease(self):
-        with self._lock:
-            if self._failed:
-                return None
-            if self._idle:
-                return self._idle.pop()
-            if self._total >= self.max_instances:
-                return None
-            self._total += 1
-        from ..wasm.plan import PlanCompileError, compile_trunk_plan
-
-        try:
-            return compile_trunk_plan(self._trunk, self.feature_shape, self.capacity)
-        except PlanCompileError:
-            with self._lock:
-                self._failed = True
-                self._total -= 1
-                self._idle.clear()
-            return None
-
-    def release(self, plan) -> None:
-        with self._lock:
-            if not self._failed:
-                self._idle.append(plan)
-
-    @property
-    def instances(self) -> int:
-        with self._lock:
-            return self._total
-
-
 class EdgeEndpoint:
     """The edge server's inference service: conv1 features → class logits.
 
     When ``compile_plan`` is on, batches execute through a trace-compiled
-    trunk plan (:func:`repro.wasm.plan.compile_trunk_plan`) leased from a
-    per-(feature geometry, power-of-two capacity) pool; plans are
-    probe-verified bit-identical to the module path at compile time, and
-    compile failure or pool exhaustion falls back to the module path
-    silently.  ``infer`` is thread-safe: concurrent callers lease
-    distinct plan instances (each owns its own arena), the module path
-    only reads frozen weights, and ``requests_served`` is bumped under a
-    lock.
+    trunk plan leased from the process-wide plan cache
+    (:data:`repro.wasm.plan_cache.PLAN_CACHE`), keyed by the serialized trunk's
+    digest and the batch's power-of-two capacity, so every endpoint that
+    serves the same trunk shares its verified instances.  Plans are
+    probe-verified bit-identical to the module path at compile time.  A
+    busy pool makes ``infer`` wait for a lease; only a trunk that cannot
+    compile (ResNet's residual blocks do not serialize) runs the module,
+    and every such call counts in ``plan_cache.failures{site=trunk}``.
+    ``infer`` is thread-safe: concurrent callers lease distinct plan
+    instances (each owns its own arena), the module path only reads
+    frozen weights, and ``requests_served`` is bumped under a lock.
     """
-
-    #: Plan pools kept per (feature geometry, capacity), LRU.
-    PLAN_CACHE_SIZE = 8
-    #: Max compiled plan instances per pool — bounds arena memory while
-    #: letting that many workers run the trunk concurrently.
-    PLAN_POOL_SIZE = 8
 
     def __init__(self, trunk: Module, *, compile_plan: bool = True) -> None:
         self._trunk = trunk
         self._trunk.eval()
         self.requests_served = 0
         self.compile_plan = bool(compile_plan)
-        self._pools: "OrderedDict[tuple, _TrunkPlanPool]" = OrderedDict()
-        self._pools_lock = threading.Lock()
-        self._served_lock = threading.Lock()
+        # Feature shape → the serialized trunk (None: not serializable).
+        self._models: dict = {}
+        self._reference = trunk_reference(trunk)
+        self._lock = threading.Lock()
 
-    def _pool_for(self, feature_shape: tuple, batch_size: int) -> _TrunkPlanPool:
-        """The plan pool for this geometry/capacity, created on miss.
-
-        Capacity is the batch size rounded up to a power of two, so a
-        ramp of batch sizes (1, 2, .., 64) shares a handful of pools
-        instead of compiling one per size.
-        """
-        capacity = 1 << max(0, int(batch_size) - 1).bit_length()
-        key = (tuple(int(d) for d in feature_shape), capacity)
-        with self._pools_lock:
-            pool = self._pools.get(key)
-            if pool is None:
-                pool = _TrunkPlanPool(
-                    self._trunk, key[0], capacity, self.PLAN_POOL_SIZE
-                )
-                self._pools[key] = pool
-                if len(self._pools) > self.PLAN_CACHE_SIZE:
-                    self._pools.popitem(last=False)
-            else:
-                self._pools.move_to_end(key)
-            return pool
-
-    def _count_served(self, n: int) -> None:
-        with self._served_lock:
-            self.requests_served += n
+    def _plan_pool(self, feature_shape: tuple, batch_size: int):
+        if feature_shape not in self._models:
+            with self._lock:
+                if feature_shape not in self._models:
+                    try:
+                        parsed = trunk_model(self._trunk, feature_shape)
+                    except PlanCompileError:
+                        parsed = None
+                    self._models[feature_shape] = parsed
+        parsed = self._models[feature_shape]
+        if parsed is None:
+            PLAN_CACHE.count("trunk", "failures")
+            return None
+        pool, _ = PLAN_CACHE.lookup(
+            "trunk", parsed, "framework", batch_size, self._reference
+        )
+        return pool
 
     def infer(
         self,
@@ -450,24 +384,25 @@ class EdgeEndpoint:
         trace_id: str = "",
         track: str = "edge",
     ) -> np.ndarray:
+        pool = None
         if self.compile_plan and len(features):
-            pool = self._pool_for(features.shape[1:], len(features))
+            pool = self._plan_pool(features.shape[1:], len(features))
+        if pool is None:
+            with no_grad():
+                logits = self._trunk(Tensor(features)).data
+        else:
             plan = pool.lease()
-            if plan is not None:
-                try:
-                    logits = plan.execute(
-                        np.ascontiguousarray(features, dtype=np.float32),
-                        recorder=recorder,
-                        trace_id=trace_id,
-                        track=track,
-                    )
-                finally:
-                    pool.release(plan)
-                self._count_served(len(features))
-                return logits
-        with no_grad():
-            logits = self._trunk(Tensor(features)).data
-        self._count_served(len(features))
+            try:
+                logits = plan.execute(
+                    np.ascontiguousarray(features, dtype=np.float32),
+                    recorder=recorder,
+                    trace_id=trace_id,
+                    track=track,
+                )
+            finally:
+                pool.release(plan)
+        with self._lock:
+            self.requests_served += len(features)
         return logits
 
 
@@ -495,7 +430,9 @@ class BrowserClient:
         tier_payloads: tuple = (),
     ) -> None:
         self.stem_engine = WasmModel.load(stem_payload)
+        self.stem_engine.plan_site = "stem"
         self.branch_engine = WasmModel.load(branch_payload)
+        self.branch_engine.plan_site = "branch"
         self.threshold = threshold
         self.loaded_bytes = len(stem_payload) + len(branch_payload)
         self.compile_plan = True
@@ -511,6 +448,7 @@ class BrowserClient:
         engine = self._tier_engines.get(tier)
         if engine is None:
             engine = WasmModel.load(self._tier_payloads[tier - 1])
+            engine.plan_site = "branch"
             self._tier_engines[tier] = engine
         return engine
 
@@ -518,8 +456,7 @@ class BrowserClient:
         """Route both engines through trace-compiled plans (or not).
 
         Purely a performance knob: plans are probe-verified bit-identical
-        to the interpreter and fall back to it transparently (see
-        :meth:`repro.wasm.WasmModel.forward_planned`).
+        to the interpreter (see :meth:`repro.wasm.WasmModel.forward_planned`).
         """
         self.compile_plan = bool(compile_plan)
 

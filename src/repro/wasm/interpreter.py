@@ -37,6 +37,7 @@ from ..profiling.op_counters import ModelCounters
 from . import bitpack
 from .bitpack import pack_signs, packed_dot, unpack_signs
 from .model_format import ModelFormatError, ParsedModel, parse_model
+from .plan_cache import PLAN_CACHE
 
 
 @dataclass(frozen=True)
@@ -226,16 +227,15 @@ class WasmModel:
         self.counters = ModelCounters.for_kinds(
             [spec["type"] for spec in parsed.layers]
         )
-        # Compiled-plan cache: capacity (rounded up to a power of two)
-        # → CompiledPlan, or None when compilation/verification failed
-        # for that capacity (so the fallback decision is cached too).
-        # The lock covers lookup, compile, and insert: concurrent first
-        # use of a capacity compiles exactly once (later threads block
-        # briefly and reuse the winner's plan).
-        self._plan_cache: "OrderedDict[int, object]" = OrderedDict()
-        self._plan_cache_maxsize = 4
-        self._plan_cache_stats = {"hits": 0, "misses": 0, "failures": 0}
-        self._plan_cache_lock = threading.Lock()
+        #: Registry site label of this engine's plan lookups (the browser
+        #: client names its engines ``stem`` and ``branch``).
+        self.plan_site = "wasm"
+        # This engine's own plan lookups; the plans themselves live in the
+        # process-wide PLAN_CACHE.
+        self._plan_lookups = {
+            kind: self.counters.registry.counter(f"plan_cache.{kind}")
+            for kind in ("hits", "misses", "failures")
+        }
 
     @classmethod
     def load(cls, payload: bytes) -> "WasmModel":
@@ -539,43 +539,37 @@ class WasmModel:
 
     __call__ = forward
 
+    def run_ops(self, x: np.ndarray) -> np.ndarray:
+        """The op chain without counters: what a compiled plan must equal."""
+        for op in self._ops:
+            x = op(x)
+        return x
+
     # ------------------------------------------------------------------
     # Compiled plans (record-once / replay-many fast path)
     # ------------------------------------------------------------------
+    def _plan_pool(self, batch_size: int):
+        """The shared plan pool for batches of up to ``batch_size``, or None."""
+        pool, hit = PLAN_CACHE.lookup(
+            self.plan_site, self.parsed, "wasm", batch_size, self.run_ops
+        )
+        self._plan_lookups["hits" if hit else "misses"].add(1)
+        if pool is None:
+            self._plan_lookups["failures"].add(1)
+        return pool
+
     def plan_for(self, batch_size: int):
         """The compiled plan serving batches of up to ``batch_size``.
 
-        The cache key is the capacity rounded up to a power of two, so a
-        session's ragged tail chunks reuse the full-chunk plan (replay
-        slices every arena buffer to the live batch).  Returns ``None``
-        when compilation or bit-identity verification failed — callers
-        fall back to :meth:`forward`, which stays the reference path.
+        Plans come from the process-wide plan cache, keyed by this
+        payload's digest and the capacity rounded up to a power of two,
+        so engines that loaded the same bundle share them.  Returns the
+        pool's first verified instance, or ``None`` when compilation or
+        bit-identity verification failed — callers then run
+        :meth:`forward`, which stays the reference path.
         """
-        from .plan import compile_wasm_plan
-
-        batch_size = int(batch_size)
-        if batch_size < 1:
-            raise ValueError("batch_size must be positive")
-        capacity = 1
-        while capacity < batch_size:
-            capacity *= 2
-        with self._plan_cache_lock:
-            cached = self._plan_cache.get(capacity, _PLAN_UNSET)
-            if cached is not _PLAN_UNSET:
-                self._plan_cache_stats["hits"] += 1
-                self._plan_cache.move_to_end(capacity)
-                return cached
-            self._plan_cache_stats["misses"] += 1
-            try:
-                plan = compile_wasm_plan(self, capacity)
-            except Exception:
-                plan = None
-            if plan is None:
-                self._plan_cache_stats["failures"] += 1
-            self._plan_cache[capacity] = plan
-            while len(self._plan_cache) > self._plan_cache_maxsize:
-                self._plan_cache.popitem(last=False)
-            return plan
+        pool = self._plan_pool(batch_size)
+        return None if pool is None else pool.primary
 
     def forward_planned(
         self,
@@ -585,32 +579,39 @@ class WasmModel:
         trace_id: str = "",
         track: str = "browser",
     ) -> np.ndarray:
-        """Run via the compiled plan, falling back to :meth:`forward`.
+        """Run via a leased compiled plan, or :meth:`forward` without one.
 
         Bit-identical to :meth:`forward` by construction: every plan is
-        probe-verified against the interpreter at compile time, and any
-        model the compiler cannot handle transparently falls back.
+        probe-verified against the interpreter at compile time.  A model
+        the compiler cannot handle runs the interpreter and counts in the
+        ``plan_cache.failures`` series.
         """
         x = np.ascontiguousarray(x, dtype=np.float32)
-        plan = self.plan_for(max(len(x), 1))
-        if plan is None:
+        pool = self._plan_pool(max(len(x), 1))
+        if pool is None:
             return self.forward(x)
-        return plan.execute(x, recorder=recorder, trace_id=trace_id, track=track)
+        plan = pool.lease()
+        try:
+            return plan.execute(x, recorder=recorder, trace_id=trace_id, track=track)
+        finally:
+            pool.release(plan)
 
     def plan_cache_info(self) -> dict[str, object]:
-        """Occupancy and hit/miss/failure counts of the plan cache."""
-        with self._plan_cache_lock:
-            return {
-                "size": len(self._plan_cache),
-                "maxsize": self._plan_cache_maxsize,
-                "capacities": list(self._plan_cache.keys()),
-                **self._plan_cache_stats,
-            }
+        """This engine's plan lookups: hits, misses and failures.
+
+        ``capacities`` lists the capacities of this payload resident in
+        the shared cache.
+        """
+        return {
+            "capacities": PLAN_CACHE.capacities(self.parsed.digest, "wasm"),
+            **{kind: c.value for kind, c in self._plan_lookups.items()},
+        }
 
     def clear_plan_cache(self) -> None:
-        with self._plan_cache_lock:
-            self._plan_cache.clear()
-            self._plan_cache_stats.update(hits=0, misses=0, failures=0)
+        """Drop this payload's shared plans and zero this engine's lookups."""
+        PLAN_CACHE.clear(self.parsed.digest)
+        for counter in self._plan_lookups.values():
+            counter.reset()
 
     def reset_counters(self) -> None:
         self.counters.reset()
@@ -619,6 +620,3 @@ class WasmModel:
     def num_ops(self) -> int:
         return len(self._ops)
 
-
-#: Sentinel distinguishing "never compiled" from a cached failure.
-_PLAN_UNSET = object()

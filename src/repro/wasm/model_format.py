@@ -23,9 +23,11 @@ output unit — the on-the-wire size is what Figure 7 measures.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional
 
 import numpy as np
@@ -35,6 +37,7 @@ from ..nn.layers import (
     BatchNorm1d,
     BatchNorm2d,
     Conv2d,
+    Dropout,
     Flatten,
     GlobalAvgPool2d,
     Linear,
@@ -210,6 +213,13 @@ def _serialize_layer(
         return [{"type": "flatten"}]
     if isinstance(layer, GlobalAvgPool2d):
         return [{"type": "global_avg_pool2d"}]
+    if isinstance(layer, Dropout):
+        # Eval-mode dropout is the identity, so it serializes as no layer;
+        # a training-mode one would drop units at random and has no
+        # inference meaning.
+        if layer.training:
+            raise ModelFormatError("cannot serialize a Dropout in training mode")
+        return []
 
     raise ModelFormatError(f"unsupported layer type: {type(layer).__name__}")
 
@@ -257,6 +267,20 @@ class ParsedModel:
     layers: list[dict[str, object]]
     metadata: dict[str, object]
     blob: bytes
+
+    @cached_property
+    def digest(self) -> str:
+        """Content hash of everything execution depends on (not metadata).
+
+        Two payloads with equal digests compile to the same plan, which
+        is what lets one process-wide plan cache serve every engine that
+        loaded the same model.
+        """
+        h = hashlib.blake2b(digest_size=16)
+        header = [list(self.input_shape), self.layers]
+        h.update(json.dumps(header, sort_keys=True, separators=(",", ":")).encode())
+        h.update(self.blob)
+        return h.hexdigest()
 
     def buffer(self, slot: dict[str, object]) -> np.ndarray:
         start = int(slot["offset"])

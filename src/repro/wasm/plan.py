@@ -27,8 +27,10 @@ branch), ``"framework"`` replicates the :mod:`repro.nn` eval path (edge
 trunk).  A plan promises **bit identity** with its reference — every
 compiled plan is probe-verified against it on randomized inputs
 (including exact zeros) before use, and any model the compiler cannot
-express raises :class:`PlanCompileError`, which callers treat as
-"transparently fall back to the reference path".
+express raises :class:`PlanCompileError`.
+
+Serving looks plans up in :data:`repro.wasm.plan_cache.PLAN_CACHE`,
+one process-wide cache of lease pools of verified instances.
 """
 
 from __future__ import annotations
@@ -62,6 +64,8 @@ __all__ = [
     "PlanVerificationError",
     "compile_trunk_plan",
     "compile_wasm_plan",
+    "trunk_model",
+    "trunk_reference",
 ]
 
 #: Ops that anchor a fused step (they own the step's heavy kernel).
@@ -85,27 +89,79 @@ class PlanExecutionError(RuntimeError):
 
 
 class Arena:
-    """Named preallocated scratch buffers owned by one plan."""
+    """Preallocated buffers owned by one plan.
 
-    def __init__(self) -> None:
+    Buffers that outlive their step — the input, each step's output
+    activation, and the zero-bordered ``xpad`` copies, whose border is
+    written only once at allocation — are private.  Step-local scratch
+    (im2col columns, GEMM outputs, packed sign words, ...) is written and
+    consumed inside one step, so every step carves it from one shared
+    region starting at offset 0: the region is as large as the largest
+    step's scratch, not the sum of all of them.
+
+    A plan is built twice (see :func:`_build_plan`).  The sizing walk
+    (``scratch_bytes=None``) allocates nothing — every buffer is a
+    zero-strided stand-in, since that plan never runs — and records
+    :attr:`scratch_high`; the second walk gets a region of that size.
+    """
+
+    #: Scratch slices start on cache-line boundaries.
+    ALIGN = 64
+
+    def __init__(self, scratch_bytes: Optional[int] = None) -> None:
+        self.sizing = scratch_bytes is None
         self._buffers: "OrderedDict[str, np.ndarray]" = OrderedDict()
+        self._region = np.zeros(0, dtype=np.uint8)
+        if scratch_bytes:
+            raw = np.zeros(scratch_bytes + self.ALIGN, dtype=np.uint8)
+            start = -raw.ctypes.data % self.ALIGN
+            self._region = raw[start : start + scratch_bytes]
+        self._offset = 0
+        #: Largest scratch footprint of any one step, in bytes.
+        self.scratch_high = 0
+
+    def _alloc(self, shape: tuple, dtype) -> np.ndarray:
+        if self.sizing:
+            return np.broadcast_to(np.zeros((), dtype=dtype), shape)
+        return np.zeros(shape, dtype=dtype)
 
     def new(self, name: str, shape: tuple, dtype=np.float32) -> np.ndarray:
         if name in self._buffers:
             name = f"{name}#{len(self._buffers)}"
-        arr = np.zeros(shape, dtype=dtype)
+        arr = self._alloc(shape, dtype)
         self._buffers[name] = arr
         return arr
 
+    def begin_step(self) -> None:
+        """Start a new step: its scratch reuses the region from offset 0."""
+        self._offset = 0
+
+    def scratch(self, shape: tuple, dtype=np.float32) -> np.ndarray:
+        """A buffer that dies inside the current step."""
+        dtype = np.dtype(dtype)
+        nbytes = int(np.prod(shape)) * dtype.itemsize
+        start = self._offset
+        self._offset = start + -(-nbytes // self.ALIGN) * self.ALIGN
+        self.scratch_high = max(self.scratch_high, self._offset)
+        if self.sizing:
+            return self._alloc(shape, dtype)
+        return self._region[start : start + nbytes].view(dtype).reshape(shape)
+
     @property
     def total_bytes(self) -> int:
-        return sum(a.nbytes for a in self._buffers.values())
+        return self._region.nbytes + sum(a.nbytes for a in self._buffers.values())
 
     def describe(self) -> list:
-        return [
+        rows = [
             {"name": name, "shape": list(a.shape), "dtype": str(a.dtype), "bytes": a.nbytes}
             for name, a in self._buffers.items()
         ]
+        if self._region.nbytes:
+            rows.append(
+                {"name": "scratch", "shape": [self._region.nbytes], "dtype": "uint8",
+                 "bytes": self._region.nbytes}
+            )
+        return rows
 
 
 @dataclass
@@ -132,9 +188,10 @@ class CompiledPlan:
 
     One instance owns one preallocated arena, so concurrent ``execute``
     calls on the *same* plan would overwrite each other's buffers; an
-    internal lock serializes them (correct but not parallel).  Callers
-    that want real concurrency lease distinct instances — see
-    ``EdgeEndpoint`` in :mod:`repro.runtime.session`.
+    internal lock serializes them (correct but not parallel).  Serving
+    callers lease distinct instances from a
+    :class:`~repro.wasm.plan_cache.PlanPool`, which waits for a free
+    instance rather than falling back to the reference.
     """
 
     def __init__(
@@ -299,6 +356,7 @@ class _PlanBuilder:
         flavor: str,
         c_mean: bool = True,
         direct_conv: bool = True,
+        scratch_bytes: Optional[int] = None,
     ) -> None:
         if flavor not in ("wasm", "framework"):
             raise PlanCompileError(f"unknown plan flavor {flavor!r}")
@@ -318,7 +376,7 @@ class _PlanBuilder:
         #: the same way.
         self.direct_conv = bool(direct_conv)
         self.kernels = get_backend()  # KernelBackendError → caller falls back
-        self.arena = Arena()
+        self.arena = Arena(scratch_bytes)
         self.input_shape = tuple(int(d) for d in parsed.input_shape)
         self.buf = self.arena.new("input", (capacity, *self.input_shape))
         #: Logical per-sample activation shape (tracks flatten).
@@ -348,6 +406,7 @@ class _PlanBuilder:
     def build(self) -> CompiledPlan:
         input_buf = self.buf
         for index, group in enumerate(_split_groups(self.parsed.layers)):
+            self.arena.begin_step()
             runners: list = []
             kinds: list = []
             for spec in group["pre"]:
@@ -638,8 +697,8 @@ class _PlanBuilder:
             # the same strides so the GEMM call is identical.
             wmat = np.ascontiguousarray(w_flat).T
         rows = geom.rows
-        cols = self.arena.new("cols", (self.capacity * rows, geom.row_len))
-        mm = self.arena.new("mm", (self.capacity * rows, oc))
+        cols = self.arena.scratch((self.capacity * rows, geom.row_len))
+        mm = self.arena.scratch((self.capacity * rows, oc))
         out = self.arena.new("act", (self.capacity, oc, geom.out_height, geom.out_width))
         psrc, pcols = self._ptr(self.buf), self._ptr(cols)
         pmm, pout = self._ptr(mm), self._ptr(out)
@@ -695,12 +754,12 @@ class _PlanBuilder:
         # streams the |v| rows through np.mean.
         if self.c_mean:
             abscols = None
-            scratch = self.arena.new("prep_scratch", (8 * row_len,))
+            scratch = self.arena.scratch((8 * row_len,))
         else:
-            abscols = self.arena.new("abscols", (self.capacity * rows, row_len))
+            abscols = self.arena.scratch((self.capacity * rows, row_len))
             scratch = None
-        words = self.arena.new("bits", (self.capacity * rows, word_count), dtype=np.uint64)
-        kfac = self.arena.new("kfac", (self.capacity * rows,))
+        words = self.arena.scratch((self.capacity * rows, word_count), dtype=np.uint64)
+        kfac = self.arena.scratch((self.capacity * rows,))
         out = self.arena.new("act", (self.capacity, oc, geom.out_height, geom.out_width))
         # Pre-padding lets the gather run fringe-free (pad=0 below):
         # padded entries are +0.0 → fabsf gives +0 and the sign bit is 1,
@@ -806,9 +865,9 @@ class _PlanBuilder:
         bias = self._param(spec, "bias", required=False)
         word_count = (bit_length + 63) // 64
         wwords = _widen_to_words(packed_w, word_count)
-        absbuf = self.arena.new("abs", (self.capacity, features))
-        words = self.arena.new("bits", (self.capacity, word_count), dtype=np.uint64)
-        betabuf = self.arena.new("beta", (self.capacity,))
+        absbuf = self.arena.scratch((self.capacity, features))
+        words = self.arena.scratch((self.capacity, word_count), dtype=np.uint64)
+        betabuf = self.arena.scratch((self.capacity,))
         out = self.arena.new("act", (self.capacity, oc))
         x2d = self.buf.reshape(self.capacity, -1)
         px, pwords = self._ptr(self.buf), self._ptr(words)
@@ -852,6 +911,23 @@ def _probe_batch(input_shape: tuple, capacity: int) -> np.ndarray:
     return x
 
 
+def _build_plan(parsed: ParsedModel, capacity: int, flavor: str, **options) -> CompiledPlan:
+    """Build a plan whose step-local scratch shares one region.
+
+    The sizing walk allocates no buffers and learns the largest step's
+    scratch footprint; the second walk carves every step's scratch from
+    one region of that size.
+    """
+    try:
+        sizing = _PlanBuilder(parsed, capacity, flavor, **options)
+    except KernelBackendError as exc:
+        raise PlanCompileError(str(exc)) from exc
+    sizing.build()
+    return _PlanBuilder(
+        parsed, capacity, flavor, scratch_bytes=sizing.arena.scratch_high, **options
+    ).build()
+
+
 def _compile_verified(
     parsed: ParsedModel, capacity: int, flavor: str, reference: Callable
 ) -> CompiledPlan:
@@ -873,11 +949,7 @@ def _compile_verified(
         {"c_mean": False},
         {"direct_conv": False, "c_mean": False},
     ):
-        try:
-            builder = _PlanBuilder(parsed, capacity, flavor, **options)
-        except KernelBackendError as exc:
-            raise PlanCompileError(str(exc)) from exc
-        plan = builder.build()
+        plan = _build_plan(parsed, capacity, flavor, **options)
         try:
             return _verify(plan, reference, _probe_batch(plan.input_shape, capacity))
         except PlanVerificationError as exc:
@@ -901,36 +973,45 @@ def compile_wasm_plan(model: WasmModel, capacity: int) -> CompiledPlan:
     """Compile + probe-verify a plan replicating ``model.forward``.
 
     Raises :class:`PlanCompileError` (including verification failures and
-    a missing C backend) — ``WasmModel.plan_for`` turns that into a cached
-    ``None`` and callers fall back to the interpreter.
+    a missing C backend); the plan cache records that as a failure and
+    callers run the interpreter.
     """
-    def reference(x: np.ndarray) -> np.ndarray:
-        for op in model._ops:
-            x = op(x)
-        return x
+    return _compile_verified(model.parsed, capacity, "wasm", model.run_ops)
 
-    return _compile_verified(model.parsed, capacity, "wasm", reference)
+
+def trunk_model(trunk, input_shape: tuple) -> ParsedModel:
+    """The framework trunk in eval mode, serialized and parsed.
+
+    Eval mode comes first: an eval-mode ``Dropout`` serializes as no
+    layer, a training-mode one cannot serialize at all.  Non-Sequential
+    trunks (ResNet's ``BasicBlock``) and unsupported layers raise
+    :class:`PlanCompileError`.
+    """
+    trunk.eval()
+    try:
+        payload = serialize_browser_bundle(trunk, tuple(int(d) for d in input_shape))
+    except ModelFormatError as exc:
+        raise PlanCompileError(f"trunk not serializable: {exc}") from exc
+    return parse_model(payload)
+
+
+def trunk_reference(trunk) -> Callable:
+    """The framework module's eval forward: what a trunk plan must equal."""
+    from ..nn import Tensor, no_grad
+
+    def reference(x: np.ndarray) -> np.ndarray:
+        with no_grad():
+            return trunk(Tensor(x)).data
+
+    return reference
 
 
 def compile_trunk_plan(trunk, input_shape: tuple, capacity: int) -> CompiledPlan:
     """Compile + probe-verify a plan replicating the framework trunk.
 
     The trunk is serialized through the ``.lcrs`` format (bit-exact
-    float32 round trip) and compiled with framework-flavor arithmetic;
-    non-Sequential trunks or unsupported layers raise
-    :class:`PlanCompileError` and the edge keeps using the framework.
+    float32 round trip, see :func:`trunk_model`) and compiled with
+    framework-flavor arithmetic.
     """
-    from ..nn import Tensor, no_grad
-
-    try:
-        payload = serialize_browser_bundle(trunk, tuple(int(d) for d in input_shape))
-    except ModelFormatError as exc:
-        raise PlanCompileError(f"trunk not serializable: {exc}") from exc
-    parsed = parse_model(payload)
-    trunk.eval()
-
-    def reference(x: np.ndarray) -> np.ndarray:
-        with no_grad():
-            return trunk(Tensor(x)).data
-
-    return _compile_verified(parsed, capacity, "framework", reference)
+    parsed = trunk_model(trunk, input_shape)
+    return _compile_verified(parsed, capacity, "framework", trunk_reference(trunk))

@@ -263,6 +263,26 @@ class TestPlanCommand:
             "direct_conv": True, "c_mean": True,
         }
 
+    def test_plan_compiles_alexnet_trunk(self, tiny_cifar, tmp_path, capsys):
+        """AlexNet's trunk (Dropout included) prints a bit-identical plan."""
+        import json
+
+        from repro.core import LCRS
+
+        train, test = tiny_cifar
+        system = LCRS.build("alexnet", train, dataset_name="cifar10", seed=0)
+        system.calibrate(test)
+        checkpoint = save_system(system, tmp_path / "alexnet.npz")
+        output = tmp_path / "plan.json"
+        code = main(["plan", str(checkpoint), "--batch", "4", "--json", str(output)])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "\ntrunk: " in out and "trunk: no compiled plan" not in out
+        record = json.loads(output.read_text())
+        assert record["network"] == "alexnet"
+        assert record["trunk"]["bit_identical"] is True
+        assert record["trunk"]["flavor"] == "framework"
+
 
 class TestTraceCommand:
     def test_trace_exports_chrome_json(self, checkpoint, tmp_path, capsys):

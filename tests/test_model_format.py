@@ -107,6 +107,32 @@ class TestSerialization:
             serialize_browser_bundle(nn.Sequential(Strange()), (1, 4, 4))
 
 
+    def test_eval_dropout_serializes_as_no_layer(self, rng):
+        """Eval-mode dropout is the identity: the payload equals the one
+        without it, digest included."""
+        linear = nn.Linear(8, 4, rng=rng)
+        with_dropout = nn.Sequential(nn.Dropout(0.25, rng=rng), linear).eval()
+        plain = serialize_browser_bundle(nn.Sequential(linear), (8,))
+        assert serialize_browser_bundle(with_dropout, (8,)) == plain
+        assert parse_model(plain).digest == parse_model(
+            serialize_browser_bundle(with_dropout, (8,))
+        ).digest
+
+    def test_training_dropout_rejected(self, rng):
+        bundle = nn.Sequential(nn.Dropout(0.25, rng=rng), nn.Linear(8, 4, rng=rng))
+        with pytest.raises(ModelFormatError, match="Dropout"):
+            serialize_browser_bundle(bundle, (8,))
+
+    def test_digest_ignores_metadata_and_tracks_weights(self, rng):
+        bundle = nn.Sequential(nn.Linear(8, 4, rng=rng))
+        a = parse_model(serialize_browser_bundle(bundle, (8,), metadata={"a": 1}))
+        b = parse_model(serialize_browser_bundle(bundle, (8,)))
+        assert a.digest == b.digest
+        bundle[0].weight.data[0, 0] += 1.0
+        c = parse_model(serialize_browser_bundle(bundle, (8,)))
+        assert c.digest != a.digest
+
+
 class TestParsingErrors:
     def test_bad_magic(self):
         with pytest.raises(ModelFormatError):

@@ -135,3 +135,20 @@ class TestHelpers:
         model.train()
         model.stem_output_shape()
         assert model.training
+
+    def test_stem_probe_preserves_each_module_mode(self, rng):
+        """A trunk set to eval under a training parent stays in eval mode."""
+        model = build_model("alexnet", 3, 10, 32, rng=rng, width=8)
+        model.train()
+        model.trunk.eval()
+        model.stem_output_shape()
+        assert model.training and model.stem.training
+        assert not any(m.training for m in model.trunk.modules())
+
+    def test_flattened_size_preserves_each_module_mode(self, rng):
+        stack = nn.Sequential(
+            nn.Conv2d(1, 4, 3, padding=1, rng=rng), nn.Dropout(0.5, rng=rng)
+        )
+        stack[1].eval()
+        flattened_size(stack, 1, 8)
+        assert stack.training and stack[0].training and not stack[1].training

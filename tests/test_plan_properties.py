@@ -17,7 +17,9 @@ from repro import nn
 from repro.nn.autograd import Tensor, no_grad
 from repro.nn.binary import BinaryConv2d, BinaryLinear
 from repro.observability import Tracer
+from repro.observability import MetricsRegistry
 from repro.wasm import plan as plan_module
+from repro.wasm.plan_cache import PlanCache
 from repro.wasm import (
     PlanCompileError,
     PlanExecutionError,
@@ -347,6 +349,7 @@ class TestPlanPlumbing:
 
     def test_plan_cache_rounds_up_and_hits(self):
         engine = self.make_engine()
+        engine.clear_plan_cache()
         assert engine.plan_for(3) is engine.plan_for(4)
         info = engine.plan_cache_info()
         assert info["capacities"] == [4]
@@ -354,29 +357,50 @@ class TestPlanPlumbing:
 
     def test_plan_cache_is_bounded_lru(self):
         engine = self.make_engine()
-        maxsize = engine.plan_cache_info()["maxsize"]
-        capacities = [1 << i for i in range(maxsize + 1)]
+        cache = PlanCache(maxsize=3, registry=MetricsRegistry())
+        capacities = [1 << i for i in range(cache.maxsize + 1)]
         for cap in capacities:
-            engine.plan_for(cap)
-        info = engine.plan_cache_info()
-        assert info["size"] == maxsize
-        assert capacities[0] not in info["capacities"]
-        assert capacities[-1] in info["capacities"]
+            cache.lookup("wasm", engine.parsed, "wasm", cap, engine.run_ops)
+        resident = cache.capacities(engine.parsed.digest, "wasm")
+        assert len(resident) == cache.maxsize
+        assert capacities[0] not in resident
+        assert capacities[-1] in resident
 
     def test_clear_plan_cache(self):
         engine = self.make_engine()
         engine.plan_for(2)
         engine.clear_plan_cache()
         info = engine.plan_cache_info()
-        assert info["size"] == 0 and info["hits"] == 0 and info["misses"] == 0
+        assert info["capacities"] == [] and info["hits"] == 0 and info["misses"] == 0
 
     def test_kill_switch_falls_back_to_interpreter(self, monkeypatch):
         monkeypatch.setenv("REPRO_PLAN_NO_CC", "1")
         engine = self.make_engine()
-        assert engine.plan_for(4) is None
-        assert engine.plan_cache_info()["failures"] == 1
-        x = np.random.default_rng(0).standard_normal((2, 1, 6, 6)).astype(np.float32)
-        np.testing.assert_array_equal(engine.forward_planned(x), engine.forward(x))
+        engine.clear_plan_cache()
+        try:
+            assert engine.plan_for(4) is None
+            assert engine.plan_cache_info()["failures"] == 1
+            x = np.random.default_rng(0).standard_normal((2, 1, 6, 6)).astype(np.float32)
+            np.testing.assert_array_equal(engine.forward_planned(x), engine.forward(x))
+        finally:
+            engine.clear_plan_cache()
+
+    def test_compiler_bug_is_not_swallowed(self, monkeypatch):
+        """Only PlanCompileError means "no plan": a programming error in
+        the compiler propagates instead of becoming an interpreter run."""
+
+        def broken(plan, reference, x):
+            raise TypeError("compiler bug")
+
+        monkeypatch.setattr(plan_module, "_verify", broken)
+        engine = self.make_engine()
+        engine.clear_plan_cache()
+        try:
+            with pytest.raises(TypeError, match="compiler bug"):
+                engine.plan_for(4)
+            assert engine.plan_cache_info()["failures"] == 0
+        finally:
+            engine.clear_plan_cache()
 
     def test_per_step_counters_record_replays(self):
         engine = self.make_engine()
